@@ -32,7 +32,7 @@ from .ordering import (
     ComparisonVerdict,
     compare,
     improves,
-    strictly_improves,
+    strictly_improved,
 )
 from .threads import (
     D,
@@ -660,10 +660,5 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds) -> list[InstrSe
 
 def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     """Members not strictly improved by any other member."""
-    graphs = [extract_mechanistic(s) for s in seqs]
-    keep = []
-    for i, s in enumerate(seqs):
-        if not any(strictly_improves(graphs[j], graphs[i])
-                   for j in range(len(seqs)) if j != i):
-            keep.append(s)
-    return keep
+    beaten = strictly_improved([extract_mechanistic(s) for s in seqs])
+    return [s for s, b in zip(seqs, beaten) if not b]

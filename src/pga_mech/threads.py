@@ -180,67 +180,137 @@ def make_prefix(action: str, inner: ThreadGraph) -> ThreadGraph:
 
 # --- bisimulation and minimization -----------------------------------------
 
-def _refine(nodes: list[Node]) -> list[int]:
-    """Partition refinement; returns a block id per node.  Two nodes share a
-    block iff they are bisimilar (delay steps matched one-for-one)."""
-    keys = {}
-    blocks = []
-    for node in nodes:
-        key = (node.kind, node.action)
-        if key not in keys:
-            keys[key] = len(keys)
-        blocks.append(keys[key])
-    while True:
-        sigs = {}
-        new_blocks = []
-        for i, node in enumerate(nodes):
-            sig = (blocks[i], tuple(blocks[s] for s in node.successors()))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_blocks.append(sigs[sig])
-        if new_blocks == blocks:
-            return blocks
-        blocks = new_blocks
-
-
 def bisimilar(g1: ThreadGraph, g2: ThreadGraph) -> bool:
     """Delay-exact bisimulation: related nodes have identical kind (and
     action), related delay nodes have related successors, related post nodes
-    have pairwise related branch successors.  A delay is never absorbed."""
-    offset = len(g1.nodes)
-    union: list[Node] = list(g1.nodes)
-    for node in g2.nodes:
+    have pairwise related branch successors.  A delay is never absorbed.
+
+    Decided by the union-find walk of Hopcroft and Karp (1971): both graphs
+    are deterministic, so merging the pair of roots and then the successor
+    pairs of every merged pair reaches a mismatched kind or action exactly
+    when the roots are not bisimilar.  Left nodes are ``i``, right nodes
+    ``len(g1) + j`` in one union-find forest.
+    """
+    left, right = g1.nodes, g2.nodes
+    offset = len(left)
+    parent = list(range(offset + len(right)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    parent[offset + g2.root] = g1.root
+    stack = [(g1.root, g2.root)]
+    while stack:
+        a, b = stack.pop()
+        x, y = left[a], right[b]
+        if x.kind != y.kind or x.action != y.action:
+            return False
+        for s, t in zip(x.successors(), y.successors()):
+            rs, rt = find(s), find(offset + t)
+            if rs != rt:
+                parent[rt] = rs
+                stack.append((s, t))
+    return True
+
+
+def _bisimulation_blocks(nodes: tuple[Node, ...]) -> list[int]:
+    """Block id per node of the coarsest bisimulation, by Hopcroft's
+    partition refinement over the letters next/true/false.
+
+    Blocks are contiguous ranges ``first[b]:end[b]`` of ``elems``; marked
+    members of a block sit in ``first[b]:mid[b]``.  Transitions are partial
+    (only delay nodes have ``next``), so every initial block starts on the
+    worklist (Valmari and Lehtinen, 2008).  A split always gives the new
+    block the smaller half and queues it, which is Hopcroft's rule both when
+    the old block is still queued and when it is not; a splitter is taken
+    as the block's members at the time it is popped.
+    """
+    n = len(nodes)
+    inverse: list[list[int]] = [[] for _ in range(n)]  # 3 * predecessor + letter
+    by_label: dict[tuple, list[int]] = {}
+    for i, node in enumerate(nodes):
+        by_label.setdefault((node.kind, node.action), []).append(i)
         if node.kind == DELAY:
-            union.append(Node(DELAY, next=node.next + offset))
+            inverse[node.next].append(3 * i)
         elif node.kind == POST:
-            union.append(Node(POST, action=node.action,
-                              true=node.true + offset, false=node.false + offset))
-        else:
-            union.append(node)
-    blocks = _refine(union)
-    return blocks[g1.root] == blocks[g2.root + offset]
+            inverse[node.true].append(3 * i + 1)
+            inverse[node.false].append(3 * i + 2)
+    elems: list[int] = []
+    first: list[int] = []
+    end: list[int] = []
+    block = [0] * n
+    for members in by_label.values():
+        b = len(first)
+        first.append(len(elems))
+        elems.extend(members)
+        end.append(len(elems))
+        for i in members:
+            block[i] = b
+    mid = list(first)
+    loc = [0] * n
+    for k, i in enumerate(elems):
+        loc[i] = k
+    work = list(range(len(first)))
+    while work:
+        b = work.pop()
+        preds: tuple[list[int], ...] = ([], [], [])
+        for i in elems[first[b]:end[b]]:
+            for code in inverse[i]:
+                preds[code % 3].append(code // 3)
+        for letter_preds in preds:
+            touched = []
+            for i in letter_preds:
+                c = block[i]
+                k, m = loc[i], mid[c]
+                if k < m:
+                    continue
+                j = elems[m]
+                elems[k], elems[m] = j, i
+                loc[j], loc[i] = k, m
+                mid[c] = m + 1
+                if m == first[c]:
+                    touched.append(c)
+            for c in touched:
+                lo, m, hi = first[c], mid[c], end[c]
+                mid[c] = lo
+                if m == hi:
+                    continue
+                new = len(first)
+                if m - lo <= hi - m:
+                    first.append(lo)
+                    end.append(m)
+                    first[c] = mid[c] = m
+                else:
+                    first.append(m)
+                    end.append(hi)
+                    end[c] = m
+                mid.append(first[new])
+                for k in range(first[new], end[new]):
+                    block[elems[k]] = new
+                work.append(new)
+    return block
 
 
 def minimize(g: ThreadGraph) -> ThreadGraph:
-    """Smallest graph bisimilar to ``g`` (quotient by bisimilarity)."""
-    blocks = _refine(list(g.nodes))
+    """Smallest graph bisimilar to ``g`` (quotient by bisimilarity).  The
+    constructor's breadth-first renumbering makes the result canonical."""
+    blocks = _bisimulation_blocks(g.nodes)
     rep: dict[int, int] = {}
-    for i in range(len(g.nodes)):
-        rep.setdefault(blocks[i], i)
-    block_ids = sorted(rep)
-    new_index = {b: i for i, b in enumerate(block_ids)}
+    for i, b in enumerate(blocks):
+        rep.setdefault(b, i)
     nodes = []
-    for b in block_ids:
+    for b in range(len(rep)):
         node = g.nodes[rep[b]]
         if node.kind == DELAY:
-            nodes.append(Node(DELAY, next=new_index[blocks[node.next]]))
+            nodes.append(Node(DELAY, next=blocks[node.next]))
         elif node.kind == POST:
             nodes.append(Node(POST, action=node.action,
-                              true=new_index[blocks[node.true]],
-                              false=new_index[blocks[node.false]]))
+                              true=blocks[node.true], false=blocks[node.false]))
         else:
             nodes.append(node)
-    return ThreadGraph(nodes, new_index[blocks[g.root]])
+    return ThreadGraph(nodes, blocks[g.root])
 
 
 # --- divergence collapse and delay erasure ----------------------------------

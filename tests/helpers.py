@@ -1,15 +1,20 @@
 """Shared test machinery: random generators, a reference interpreter for
-co-simulation, and the brute-force rule-closure oracle for the improvement
-preorder on finite thread terms."""
+co-simulation, the brute-force rule-closure oracle for the improvement
+preorder on finite thread terms, and the slow reference relations (Moore
+refinement and the greatest-fixpoint preorder) that the library's product
+walks are checked against."""
 
 from __future__ import annotations
 
 import random
 
 from pga_mech import (
+    ComparisonVerdict,
     InstrSeq,
     ThreadGraph,
     basic,
+    collapse_divergence,
+    functional_abstraction,
     jump,
     make_d,
     make_delay,
@@ -289,3 +294,179 @@ def random_term_no_sig(rng: random.Random, depth: int):
 
 def chain_witnesses():
     return (parse_pga(X_CHAIN_START), parse_pga(Y_WITNESS), parse_pga(Z_WITNESS))
+
+
+# --- reference relations -----------------------------------------------------
+# Moore refinement and the greatest-fixpoint preorder: quadratic or worse,
+# but simple enough to trust as oracles for the library's walks.
+
+def refine_blocks(nodes) -> list[int]:
+    """Moore partition refinement; returns a block id per node.  Two nodes
+    share a block iff they are bisimilar (delay steps matched one-for-one)."""
+    keys = {}
+    blocks = []
+    for node in nodes:
+        key = (node.kind, node.action)
+        if key not in keys:
+            keys[key] = len(keys)
+        blocks.append(keys[key])
+    while True:
+        sigs = {}
+        new_blocks = []
+        for i, node in enumerate(nodes):
+            signature = (blocks[i], tuple(blocks[s] for s in node.successors()))
+            if signature not in sigs:
+                sigs[signature] = len(sigs)
+            new_blocks.append(sigs[signature])
+        if new_blocks == blocks:
+            return blocks
+        blocks = new_blocks
+
+
+def _disjoint_union(g1: ThreadGraph, g2: ThreadGraph) -> list[Node]:
+    offset = len(g1.nodes)
+    union = list(g1.nodes)
+    for node in g2.nodes:
+        if node.kind == DELAY:
+            union.append(Node(DELAY, next=node.next + offset))
+        elif node.kind == POST:
+            union.append(Node(POST, action=node.action,
+                              true=node.true + offset, false=node.false + offset))
+        else:
+            union.append(node)
+    return union
+
+
+def reference_bisimilar(g1: ThreadGraph, g2: ThreadGraph) -> bool:
+    blocks = refine_blocks(_disjoint_union(g1, g2))
+    return blocks[g1.root] == blocks[g2.root + len(g1.nodes)]
+
+
+def reference_minimize(g: ThreadGraph) -> ThreadGraph:
+    blocks = refine_blocks(g.nodes)
+    rep: dict[int, int] = {}
+    for i, b in enumerate(blocks):
+        rep.setdefault(b, i)
+    ids = {b: k for k, b in enumerate(sorted(rep))}
+    nodes = []
+    for b in sorted(rep):
+        node = g.nodes[rep[b]]
+        if node.kind == DELAY:
+            nodes.append(Node(DELAY, next=ids[blocks[node.next]]))
+        elif node.kind == POST:
+            nodes.append(Node(POST, action=node.action, true=ids[blocks[node.true]],
+                              false=ids[blocks[node.false]]))
+        else:
+            nodes.append(node)
+    return ThreadGraph(nodes, ids[blocks[g.root]])
+
+
+def reference_functionally_equivalent(p: ThreadGraph, q: ThreadGraph) -> bool:
+    return reference_bisimilar(functional_abstraction(p), functional_abstraction(q))
+
+
+def _resolve_delays(g: ThreadGraph, i: int) -> tuple[int, int]:
+    """(delays before the first non-delay node, that node) from node ``i``
+    of a divergence-collapsed graph."""
+    count = 0
+    while g.nodes[i].kind == DELAY:
+        count += 1
+        i = g.nodes[i].next
+    return count, i
+
+
+def reference_improves(p: ThreadGraph, q: ThreadGraph) -> bool:
+    """Greatest fixpoint over all same-kind pairs of delay-free cores of the
+    divergence-collapsed graphs, rescanned until nothing is removed."""
+    pg, qg = collapse_divergence(p), collapse_divergence(q)
+    p_cores = [i for i, node in enumerate(pg.nodes) if node.kind != DELAY]
+    q_cores = [i for i, node in enumerate(qg.nodes) if node.kind != DELAY]
+    rel = {(a, b) for a in p_cores for b in q_cores
+           if (pg.nodes[a].kind, pg.nodes[a].action) == (qg.nodes[b].kind, qg.nodes[b].action)}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            na, nb = pg.nodes[a], qg.nodes[b]
+            if na.kind != POST:
+                continue
+            dt_a, ct_a = _resolve_delays(pg, na.true)
+            dt_b, ct_b = _resolve_delays(qg, nb.true)
+            df_a, cf_a = _resolve_delays(pg, na.false)
+            df_b, cf_b = _resolve_delays(qg, nb.false)
+            if not (dt_a <= dt_b and df_a <= df_b
+                    and (ct_a, ct_b) in rel and (cf_a, cf_b) in rel):
+                rel.discard((a, b))
+                changed = True
+    dr_p, cr_p = _resolve_delays(pg, pg.root)
+    dr_q, cr_q = _resolve_delays(qg, qg.root)
+    return dr_p <= dr_q and (cr_p, cr_q) in rel
+
+
+def reference_compare(p: ThreadGraph, q: ThreadGraph) -> ComparisonVerdict:
+    if not reference_functionally_equivalent(p, q):
+        return ComparisonVerdict.FUNCTIONALLY_DIFFERENT
+    if reference_bisimilar(p, q):
+        return ComparisonVerdict.EQUAL
+    forward = reference_improves(p, q)
+    backward = reference_improves(q, p)
+    if forward and backward:
+        return ComparisonVerdict.MUTUALLY_EQUIVALENT
+    if forward:
+        return ComparisonVerdict.STRICTLY_IMPROVES
+    if backward:
+        return ComparisonVerdict.STRICTLY_IMPROVED_BY
+    return ComparisonVerdict.INCOMPARABLE
+
+
+def perturb_delays(rng: random.Random, g: ThreadGraph, moves: int = 2) -> ThreadGraph:
+    """Apply ``moves`` random delay edits to the edges of ``g`` (the root
+    counts as an edge): add a delay in front of an edge's target, skip a
+    delay an edge points to, or reroute a delay from one edge to another.
+    The result is usually functionally equivalent to ``g``."""
+    nodes = list(g.nodes)
+    root = [g.root]
+
+    def edges():
+        out = [(None, "root")]
+        for i, node in enumerate(nodes):
+            if node.kind == DELAY:
+                out.append((i, "next"))
+            elif node.kind == POST:
+                out += [(i, "true"), (i, "false")]
+        return out
+
+    def get(edge):
+        i, slot = edge
+        return root[0] if i is None else getattr(nodes[i], slot)
+
+    def put(edge, target):
+        i, slot = edge
+        if i is None:
+            root[0] = target
+        else:
+            node = nodes[i]
+            fields = {"next": node.next, "true": node.true, "false": node.false}
+            fields[slot] = target
+            nodes[i] = Node(node.kind, action=node.action, **fields)
+
+    def add(edge):
+        nodes.append(Node(DELAY, next=get(edge)))
+        put(edge, len(nodes) - 1)
+
+    def skip(edge):
+        target = get(edge)
+        if nodes[target].kind == DELAY:
+            put(edge, nodes[target].next)
+            return True
+        return False
+
+    for _ in range(moves):
+        roll = rng.random()
+        if roll < 0.4:
+            add(rng.choice(edges()))
+        elif roll < 0.7:
+            skip(rng.choice(edges()))
+        elif skip(rng.choice(edges())):
+            add(rng.choice(edges()))
+    return ThreadGraph(nodes, root[0])

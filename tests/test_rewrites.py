@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pga_mech import (
     ComparisonVerdict,
@@ -28,6 +29,7 @@ from pga_mech import (
     make_prefix,
     make_s,
     neg_test,
+    pareto_front,
     parse_pga,
     parse_thread,
     pos_test,
@@ -327,6 +329,22 @@ def test_search_with_cycles():
     assert parse_pga("(+a;#2;!)^w") in found
     for s in found:
         assert is_implementation(s, loop)
+
+
+# search results for a target with a deadlock branch: many of them improve
+# each other without being bisimilar (delays in front of the deadlock)
+_PARETO_POOL = search_implementations(parse_thread("P = a ? Q : R; Q = S; R = D"),
+                                      SearchBounds(4, 0, ("a",)))
+
+
+@given(st.lists(st.sampled_from(_PARETO_POOL), min_size=1, max_size=12))
+@settings(max_examples=150)
+def test_pareto_front_matches_pairwise_definition(seqs):
+    graphs = [extract_mechanistic(s) for s in seqs]
+    expected = [s for i, s in enumerate(seqs)
+                if not any(strictly_improves(graphs[j], graphs[i])
+                           for j in range(len(seqs)) if j != i)]
+    assert pareto_front(seqs) == expected
 
 
 def test_search_bounds_validation():
