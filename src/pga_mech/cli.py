@@ -21,17 +21,21 @@ from .ordering import (
 from .rewrites import (
     RewriteError,
     RewriteVerificationError,
-    SearchBounds,
     codegen,
     eliminate_jump_to_termination,
     improve_step,
-    pareto_front,
-    search_implementations,
     unchain,
     unroll,
 )
+from .search import (
+    SearchBounds,
+    SearchBudgetExceeded,
+    pareto_front,
+    search_implementations,
+)
 from .threads import (
     DELAY,
+    POST,
     ThreadGraph,
     ThreadSyntaxError,
     bisimilar,
@@ -221,7 +225,10 @@ def cmd_codegen(thread_path, apply_fa) -> None:
               help="Comma-separated action names.")
 @click.option("--pareto", "pareto", is_flag=True,
               help="Keep only sequences no other found sequence strictly improves.")
-def cmd_search(thread_path, max_prefix, max_cycle, alphabet, pareto) -> None:
+@click.option("--max-candidates", "max_candidates", default=100000, show_default=True,
+              type=click.IntRange(min=0),
+              help="Most sequences the search may check or emit before it gives up.")
+def cmd_search(thread_path, max_prefix, max_cycle, alphabet, pareto, max_candidates) -> None:
     """List every implementation of a thread within the bounds."""
     graph = _load_thread_file(thread_path)
     names = tuple(part.strip() for part in alphabet.split(",") if part.strip())
@@ -229,7 +236,13 @@ def cmd_search(thread_path, max_prefix, max_cycle, alphabet, pareto) -> None:
         bounds = SearchBounds(max_prefix, max_cycle, names)
     except ValueError as exc:
         _fail(2, str(exc))
-    results = search_implementations(graph, bounds)
+    missing = sorted({node.action for node in graph.nodes if node.kind == POST} - set(names))
+    if missing:
+        _fail(2, f"the thread uses action {missing[0]!r}, which is not in --alphabet")
+    try:
+        results = search_implementations(graph, bounds, max_candidates)
+    except SearchBudgetExceeded as exc:
+        _fail(2, f"{exc}; raise --max-candidates or tighten the bounds")
     if pareto:
         results = pareto_front(results)
     for seq in results:

@@ -1,4 +1,4 @@
-"""Verified rewrites on instruction sequences, code generation and search.
+"""Verified rewrites on instruction sequences and code generation.
 
 Every behavior-changing rewrite returns evidence: the verdict of comparing
 the mechanistic behavior after against the one before.  A rewrite that
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .extraction import extract_mechanistic
 from .instructions import (
-    BASIC,
     JUMP,
     NEG_TEST,
     POS_TEST,
@@ -20,7 +19,6 @@ from .instructions import (
     TERMINATE,
     InstrSeq,
     Instruction,
-    basic,
     canonical_position,
     instruction_at,
     jump,
@@ -28,35 +26,25 @@ from .instructions import (
     pos_test,
     reachable_positions,
 )
-from .ordering import (
-    ComparisonVerdict,
-    compare,
-    improves,
-    strictly_improved,
-)
+from .ordering import ComparisonVerdict, compare
 from .threads import (
     D,
     DELAY,
-    POST,
     S,
     ThreadGraph,
     collapse_divergence,
-    functional_abstraction,
 )
 
 __all__ = [
     "RewriteError",
     "RewriteStep",
     "RewriteVerificationError",
-    "SearchBounds",
     "codegen",
     "eliminate_jump_to_termination",
     "expand_test_chain",
     "has_adjacent_delays",
     "improve_step",
-    "pareto_front",
     "rewrite_negtest_jump",
-    "search_implementations",
     "splice",
     "unchain",
     "unroll",
@@ -526,139 +514,3 @@ def codegen(p: ThreadGraph) -> InstrSeq:
     if cyclic:
         return InstrSeq((), tuple(out))
     return InstrSeq(tuple(out))
-
-
-# --- bounded enumeration -----------------------------------------------------
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """Desk-scale enumeration limits for implementation search."""
-
-    max_prefix: int
-    max_cycle: int
-    alphabet: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        if self.max_prefix < 0 or self.max_cycle < 0:
-            raise ValueError("bounds must be nonnegative")
-        if self.max_prefix + self.max_cycle < 1:
-            raise ValueError("bounds admit no sequence")
-        if not self.alphabet:
-            raise ValueError("alphabet must be nonempty")
-
-
-def _slot_options(total: int, alphabet: tuple[str, ...]) -> list[Instruction]:
-    # jump counters above the total length only duplicate smaller ones
-    # (falling off the end / wrapping the cycle), so the universe is
-    # complete with counters up to the candidate's length
-    out: list[Instruction] = [basic(a) for a in alphabet]
-    out.extend(pos_test(a) for a in alphabet)
-    out.extend(neg_test(a) for a in alphabet)
-    out.append(TERMINATE)
-    out.extend(jump(k) for k in range(total + 1))
-    return out
-
-
-def _fa_consistent(slots: list, n: int, m: int, target: ThreadGraph) -> bool:
-    """Conservative check that the (possibly partial) sequence can still
-    denote the delay-erased ``target`` behavior.  Unassigned slots (the
-    ``Ellipsis`` marker) pass; a definite mismatch on assigned slots fails."""
-
-    def slot_of(pos: int) -> int | None:
-        if pos < n:
-            return pos
-        if m == 0:
-            return None  # off the end: deadlock
-        return n + (pos - n) % m
-
-    seen: set[tuple[int, int]] = set()
-    stack: list[tuple[int, int]] = [(0, target.root)]
-    while stack:
-        pos, tnode = stack.pop()
-        # resolve jumps transparently; None outcome means deadlock
-        chase: set[int] = set()
-        outcome = None
-        while True:
-            s = slot_of(pos)
-            if s is None:
-                outcome = None
-                break
-            ins = slots[s]
-            if ins is Ellipsis:
-                outcome = Ellipsis  # unassigned: no verdict on this branch
-                break
-            if ins.kind != JUMP:
-                outcome = ins
-                pos = s
-                break
-            if ins.counter == 0 or s in chase:
-                outcome = None
-                break
-            chase.add(s)
-            pos = s + ins.counter
-        if outcome is Ellipsis:
-            continue
-        node = target.nodes[tnode]
-        if outcome is None:
-            if node.kind != D:
-                return False
-            continue
-        if (pos, tnode) in seen:
-            continue
-        seen.add((pos, tnode))
-        if outcome.kind == TERMINATION:
-            if node.kind != S:
-                return False
-            continue
-        # an action instruction
-        if node.kind != POST or node.action != outcome.action:
-            return False
-        if outcome.kind == BASIC:
-            stack.append((pos + 1, node.true))
-            stack.append((pos + 1, node.false))
-        elif outcome.kind == POS_TEST:
-            stack.append((pos + 1, node.true))
-            stack.append((pos + 2, node.false))
-        else:
-            stack.append((pos + 2, node.true))
-            stack.append((pos + 1, node.false))
-    return True
-
-
-def search_implementations(p: ThreadGraph, bounds: SearchBounds) -> list[InstrSeq]:
-    """Enumerate every sequence within the bounds (prefix length, cycle
-    length, alphabet, jump counters up to the candidate length) and return
-    those whose mechanistic behavior ``p`` improves, in deterministic
-    length-lexicographic order."""
-    fa_target = functional_abstraction(p)
-    alphabet = tuple(sorted(set(bounds.alphabet)))
-    found: list[InstrSeq] = []
-    for total in range(1, bounds.max_prefix + bounds.max_cycle + 1):
-        for m in range(0, min(total, bounds.max_cycle) + 1):
-            n = total - m
-            if n > bounds.max_prefix:
-                continue
-            options = _slot_options(total, alphabet)
-            slots: list = [Ellipsis] * total
-
-            def assign(i: int) -> None:
-                if i == total:
-                    seq = InstrSeq(tuple(slots[:n]), tuple(slots[n:]) if m else None)
-                    if improves(p, extract_mechanistic(seq)):
-                        found.append(seq)
-                    return
-                for ins in options:
-                    slots[i] = ins
-                    if _fa_consistent(slots, n, m, fa_target):
-                        assign(i + 1)
-                slots[i] = Ellipsis
-
-            assign(0)
-    return found
-
-
-def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
-    """Members not strictly improved by any other member."""
-    beaten = strictly_improved([extract_mechanistic(s) for s in seqs])
-    return [s for s, b in zip(seqs, beaten) if not b]

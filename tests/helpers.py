@@ -1,8 +1,8 @@
 """Shared test machinery: random generators, a reference interpreter for
 co-simulation, the brute-force rule-closure oracle for the improvement
-preorder on finite thread terms, and the slow reference relations (Moore
-refinement and the greatest-fixpoint preorder) that the library's product
-walks are checked against."""
+preorder on finite thread terms, and the slow reference algorithms (Moore
+refinement, the greatest-fixpoint preorder and the index-order
+implementation search) that the library is checked against."""
 
 from __future__ import annotations
 
@@ -11,10 +11,13 @@ import random
 from pga_mech import (
     ComparisonVerdict,
     InstrSeq,
+    SearchBounds,
     ThreadGraph,
     basic,
     collapse_divergence,
+    extract_mechanistic,
     functional_abstraction,
+    improves,
     jump,
     make_d,
     make_delay,
@@ -27,9 +30,11 @@ from pga_mech import (
 )
 from pga_mech.instructions import (
     BASIC,
+    JUMP,
     NEG_TEST,
     POS_TEST,
     TERMINATION,
+    Instruction,
     instruction_at,
 )
 from pga_mech.threads import D, DELAY, POST, S, Node
@@ -470,3 +475,115 @@ def perturb_delays(rng: random.Random, g: ThreadGraph, moves: int = 2) -> Thread
         elif skip(rng.choice(edges())):
             add(rng.choice(edges()))
     return ThreadGraph(nodes, root[0])
+
+
+# --- reference search --------------------------------------------------------
+# Slot-by-slot enumeration in index order, re-walking the target from
+# position 0 after every option: exponential in the slots a jump flies
+# over, but it tries every sequence in the bounds in the order the library
+# must reproduce.
+
+def _reference_slot_options(total: int, alphabet: tuple[str, ...]) -> list[Instruction]:
+    out: list[Instruction] = [basic(a) for a in alphabet]
+    out.extend(pos_test(a) for a in alphabet)
+    out.extend(neg_test(a) for a in alphabet)
+    out.append(TERMINATE)
+    out.extend(jump(k) for k in range(total + 1))
+    return out
+
+
+def _fa_consistent(slots: list, n: int, m: int, target: ThreadGraph) -> bool:
+    """Conservative check that the (possibly partial) sequence can still
+    denote the delay-erased ``target`` behavior.  Unassigned slots (the
+    ``Ellipsis`` marker) pass; a definite mismatch on assigned slots fails."""
+
+    def slot_of(pos: int) -> int | None:
+        if pos < n:
+            return pos
+        if m == 0:
+            return None  # off the end: deadlock
+        return n + (pos - n) % m
+
+    seen: set[tuple[int, int]] = set()
+    stack: list[tuple[int, int]] = [(0, target.root)]
+    while stack:
+        pos, tnode = stack.pop()
+        # resolve jumps transparently; None outcome means deadlock
+        chase: set[int] = set()
+        outcome = None
+        while True:
+            s = slot_of(pos)
+            if s is None:
+                outcome = None
+                break
+            ins = slots[s]
+            if ins is Ellipsis:
+                outcome = Ellipsis  # unassigned: no verdict on this branch
+                break
+            if ins.kind != JUMP:
+                outcome = ins
+                pos = s
+                break
+            if ins.counter == 0 or s in chase:
+                outcome = None
+                break
+            chase.add(s)
+            pos = s + ins.counter
+        if outcome is Ellipsis:
+            continue
+        node = target.nodes[tnode]
+        if outcome is None:
+            if node.kind != D:
+                return False
+            continue
+        if (pos, tnode) in seen:
+            continue
+        seen.add((pos, tnode))
+        if outcome.kind == TERMINATION:
+            if node.kind != S:
+                return False
+            continue
+        # an action instruction
+        if node.kind != POST or node.action != outcome.action:
+            return False
+        if outcome.kind == BASIC:
+            stack.append((pos + 1, node.true))
+            stack.append((pos + 1, node.false))
+        elif outcome.kind == POS_TEST:
+            stack.append((pos + 1, node.true))
+            stack.append((pos + 2, node.false))
+        else:
+            stack.append((pos + 2, node.true))
+            stack.append((pos + 1, node.false))
+    return True
+
+
+def reference_search_implementations(p: ThreadGraph, bounds: SearchBounds) -> list[InstrSeq]:
+    """Every sequence within the bounds whose mechanistic behavior ``p``
+    improves, in length-lexicographic order: by total length, then cycle
+    length, then the per-slot option indices."""
+    fa_target = functional_abstraction(p)
+    alphabet = tuple(sorted(set(bounds.alphabet)))
+    found: list[InstrSeq] = []
+    for total in range(1, bounds.max_prefix + bounds.max_cycle + 1):
+        for m in range(0, min(total, bounds.max_cycle) + 1):
+            n = total - m
+            if n > bounds.max_prefix:
+                continue
+            options = _reference_slot_options(total, alphabet)
+            slots: list = [Ellipsis] * total
+
+            def assign(i: int) -> None:
+                if i == total:
+                    seq = InstrSeq(tuple(slots[:n]), tuple(slots[n:]) if m else None)
+                    if improves(p, extract_mechanistic(seq)):
+                        found.append(seq)
+                    return
+                for ins in options:
+                    slots[i] = ins
+                    if _fa_consistent(slots, n, m, fa_target):
+                        assign(i + 1)
+                slots[i] = Ellipsis
+
+            assign(0)
+    return found

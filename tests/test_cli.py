@@ -169,6 +169,34 @@ def test_search_pareto(tmp_path):
     assert sorted(lines) == ["+a;#3;c;!;b;!", "-a;#3;b;!;c;!"]
 
 
+def test_search_budget_exit_2(tmp_path):
+    path = tmp_path / "p.thread"
+    path.write_text("P = S\n")
+
+    def search(prefix, *extra):
+        return run("search", "--thread-file", str(path), "--max-prefix", prefix,
+                   "--max-cycle", "0", "--alphabet", "a", *extra)
+
+    result = search("7")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "max_candidates=100000" in result.output
+    result = search("2", "--max-candidates", "9")
+    assert result.exit_code == 0
+    assert result.stdout.split("\n")[:3] == ["!", "!;a", "!;+a"]
+    assert search("2", "--max-candidates", "8").exit_code == 2
+
+
+def test_search_alphabet_must_cover_thread(tmp_path):
+    path = tmp_path / "p.thread"
+    path.write_text("P = a ? Q : R\nQ = b . QS\nR = c . RS\nQS = S\nRS = S\n")
+    result = run("search", "--thread-file", str(path), "--max-prefix", "6",
+                 "--max-cycle", "0", "--alphabet", "a,b")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "'c'" in result.output and "--alphabet" in result.output
+
+
 def test_deterministic_output():
     first = run("extract", "--mechanistic", "--pga", "(+a;#4;+b;#4;!)^w", "--format", "json")
     second = run("extract", "--mechanistic", "--pga", "(+a;#4;+b;#4;!)^w", "--format", "json")

@@ -1,6 +1,7 @@
-"""The product-walk relations and Hopcroft minimization against the slow
-reference algorithms in ``helpers``: Moore refinement and the
-greatest-fixpoint preorder.
+"""The product-walk relations, Hopcroft minimization and the demand-driven
+implementation search against the slow reference algorithms in
+``helpers``: Moore refinement, the greatest-fixpoint preorder and the
+index-order search.
 
 Independent random graphs are almost always functionally different, so
 most pairs here are a graph against a delay-perturbed copy of itself,
@@ -13,12 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from pga_mech import (
     ComparisonVerdict,
+    SearchBounds,
     bisimilar,
     compare,
+    extract_functional,
     extract_mechanistic,
     functionally_equivalent,
     improves,
     minimize,
+    search_implementations,
 )
 
 from helpers import (
@@ -30,6 +34,7 @@ from helpers import (
     reference_functionally_equivalent,
     reference_improves,
     reference_minimize,
+    reference_search_implementations,
 )
 
 
@@ -89,3 +94,28 @@ def test_relations_match_reference_hypothesis(seed, moves):
     h = perturb_delays(rng, g, moves=moves)
     _check_pair(g, h)
     assert minimize(h) == reference_minimize(h)
+
+
+def test_search_matches_reference():
+    # targets of at most 4 nodes: random delay-free graphs, the functional
+    # behavior of a random sequence within the bounds (so the result is
+    # rarely empty), and every third one a mechanistic behavior, with
+    # delays where the sequence jumps (so the improvement check runs)
+    rng = random.Random(3007)
+    shapes = set()
+    for k in range(50):
+        alphabet = rng.choice((("a",), ("b",), ("a", "b")))
+        n, m = rng.choice([(n, m) for n in range(4) for m in range(3) if n + m])
+        bounds = SearchBounds(n, m, alphabet)
+        while True:
+            if k % 3 == 0:
+                target = random_graph(rng, max_nodes=4, allow_delay=False)
+            else:
+                seq = random_seq(rng, max_prefix=n, max_cycle=m, actions=alphabet)
+                target = (extract_functional if k % 3 == 1 else extract_mechanistic)(seq)
+            if len(target) <= 4:
+                break
+        found = search_implementations(target, bounds)
+        assert found == reference_search_implementations(target, bounds), (target.nodes, bounds)
+        shapes.add((m > 0, bool(found)))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}

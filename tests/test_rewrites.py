@@ -9,6 +9,7 @@ from pga_mech import (
     RewriteStep,
     RewriteVerificationError,
     SearchBounds,
+    SearchBudgetExceeded,
     TERMINATE,
     basic,
     bisimilar,
@@ -345,6 +346,22 @@ def test_pareto_front_matches_pairwise_definition(seqs):
                 if not any(strictly_improves(graphs[j], graphs[i])
                            for j in range(len(seqs)) if j != i)]
     assert pareto_front(seqs) == expected
+
+
+def test_search_budget():
+    # a delay-free target needs no improvement check, so the budget counts
+    # exactly the sequences returned
+    target = parse_thread("P = a ? Q : R; Q = S; R = D")
+    bounds = SearchBounds(3, 1, ("a",))
+    found = search_implementations(target, bounds)
+    assert search_implementations(target, bounds, max_candidates=len(found)) == found
+    with pytest.raises(SearchBudgetExceeded, match=f"max_candidates={len(found) - 1}"):
+        search_implementations(target, bounds, max_candidates=len(found) - 1)
+    # the don't-care product is sized before it is built: after ``!`` in
+    # the first slot the other six of ``P = S`` at (7, 0) are free
+    with pytest.raises(ValueError, match="max_candidates=100000"):
+        search_implementations(parse_thread("P = S"), SearchBounds(7, 0, ("a",)),
+                               max_candidates=100000)
 
 
 def test_search_bounds_validation():

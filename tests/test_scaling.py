@@ -2,18 +2,25 @@
 chains ``#1ⁿ;a;!`` against ``#1ⁿ⁻¹;a;!`` and the delayed loop
 ``((a;#1)ⁿ;b)^w`` against ``(aⁿ;b)^w``.  Moore refinement is quadratic on
 the first and the fixpoint preorder cubic on the second; the product walks
-and Hopcroft refinement are near linear."""
+and Hopcroft refinement are near linear.  Also for implementation search on
+``a ? b.S : c.S``, where index-order enumeration spends most of its time
+on the options of slots that a jump flies over."""
 
 import time
 
 from pga_mech import (
     ComparisonVerdict,
+    SearchBounds,
     bisimilar,
     compare,
     extract_mechanistic,
     improves,
+    make_post,
+    make_prefix,
+    make_s,
     minimize,
     parse_pga,
+    search_implementations,
 )
 
 BUDGET_S = 1.0
@@ -28,11 +35,11 @@ def _loop(n: int, delayed: bool) -> str:
     return "(" + ";".join(body + ["b"]) + ")^w"
 
 
-def _timed(fn, *args):
+def _timed(fn, *args, budget=BUDGET_S):
     start = time.perf_counter()
     result = fn(*args)
     elapsed = time.perf_counter() - start
-    assert elapsed < BUDGET_S, f"{fn.__name__} took {elapsed:.2f}s (budget {BUDGET_S}s)"
+    assert elapsed < budget, f"{fn.__name__} took {elapsed:.2f}s (budget {budget}s)"
     return result
 
 
@@ -57,3 +64,13 @@ def test_delayed_loop_improves_and_compare_at_800():
     assert _timed(compare, slow, fast) is ComparisonVerdict.STRICTLY_IMPROVED_BY
     assert len(_timed(minimize, slow)) == 2 * n + 1
     assert len(_timed(minimize, fast)) == n + 1
+
+
+def test_search_branching_target_at_6_and_7():
+    # acceptance criterion 8's target
+    target = make_post("a", make_prefix("b", make_s()), make_prefix("c", make_s()))
+    at6 = _timed(search_implementations, target, SearchBounds(6, 0, ("a", "b", "c")), budget=0.5)
+    assert parse_pga("+a;#3;c;!;b;!") in at6 and parse_pga("-a;#3;b;!;c;!") in at6
+    at7 = _timed(search_implementations, target, SearchBounds(7, 0, ("a", "b", "c")), budget=5.0)
+    assert len(at7) == 224
+    assert at7[:len(at6)] == at6
