@@ -13,7 +13,7 @@ import click
 from .extraction import extract_functional, extract_mechanistic
 from .instructions import InstrSeq, PgaSyntaxError, parse_pga, print_pga
 from .ordering import (
-    ComparisonVerdict,
+    _IMPROVING,
     compare,
     is_implementation,
     is_pre_extraction,
@@ -115,13 +115,6 @@ def cmd_extract(mode, pga_text, path, fmt, do_minimize) -> None:
     click.echo(_render(graph, fmt))
 
 
-_LEFT_HOLDS = {
-    ComparisonVerdict.EQUAL,
-    ComparisonVerdict.STRICTLY_IMPROVES,
-    ComparisonVerdict.MUTUALLY_EQUIVALENT,
-}
-
-
 @main.command("compare")
 @click.option("--pga", "pga_texts", multiple=True)
 @click.option("--thread", "thread_texts", multiple=True)
@@ -140,7 +133,7 @@ def cmd_compare(pga_texts, thread_texts, functional) -> None:
         graphs = [functional_abstraction(g) for g in graphs]
     verdict = compare(graphs[0], graphs[1])
     click.echo(verdict.value)
-    sys.exit(0 if verdict in _LEFT_HOLDS else 1)
+    sys.exit(0 if verdict in _IMPROVING else 1)
 
 
 @main.command("check")
@@ -160,7 +153,7 @@ def cmd_check(relation, pga_text, thread_path) -> None:
 @main.command("rewrite")
 @click.argument("operation", type=click.Choice(["unchain", "no-jump-to-term", "unroll", "improve"]))
 @click.option("--pga", "pga_text", required=True)
-@click.option("--steps", "steps", default=1, type=int, show_default=True,
+@click.option("--steps", "steps", default=1, type=click.IntRange(min=1), show_default=True,
               help="Improvement iterations (improve only).")
 @click.option("--trace", "trace", is_flag=True)
 def cmd_rewrite(operation, pga_text, steps, trace) -> None:
@@ -178,7 +171,7 @@ def cmd_rewrite(operation, pga_text, steps, trace) -> None:
             except RewriteError as exc:
                 _fail(2, str(exc))
         else:
-            for _ in range(max(steps, 0)):
+            for _ in range(steps):
                 step = improve_step(seq)
                 if step is None:
                     break

@@ -13,14 +13,12 @@ deadlock functionally and a delay loop mechanistically.
 from __future__ import annotations
 
 from .instructions import (
-    BASIC,
     JUMP,
-    NEG_TEST,
-    POS_TEST,
     TERMINATION,
     InstrSeq,
+    _branches,
+    _chase,
     canonical_position,
-    instruction_at,
 )
 from .threads import D, DELAY, POST, S, Node, ThreadGraph
 
@@ -38,6 +36,8 @@ def extract_mechanistic(seq: InstrSeq) -> ThreadGraph:
 
 
 def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
+    code = seq.prefix + (seq.cycle or ())
+    n, m = seq.prefix_len, seq.cycle_len
     nodes: list[list] = []  # [kind, action, succ_a, succ_b], filled in later
     memo: dict[int, int] = {}
     fill: list[tuple[int, int]] = []
@@ -55,78 +55,44 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
 
     def node_at(p: int) -> int:
         p = canonical_position(seq, p)
+        if p >= len(code):
+            return shared_d()
         if p in memo:
             return memo[p]
-        ins = instruction_at(seq, p)
-        if ins is None:
-            return shared_d()
+        ins = code[p]
         if ins.kind == TERMINATION:
             nid = alloc(S)
-            memo[p] = nid
-            return nid
-        if ins.kind in (BASIC, POS_TEST, NEG_TEST):
+        elif ins.kind != JUMP:
             nid = alloc(POST, ins.action)
-            memo[p] = nid
             fill.append((p, nid))
-            return nid
-        # jump
-        if ins.counter == 0:
+        elif ins.counter == 0:
             nid = shared_d()
-            memo[p] = nid
-            return nid
-        if with_delays:
+        elif with_delays:
             nid = alloc(DELAY)
-            memo[p] = nid
             fill.append((p, nid))
-            return nid
-        # transparent jump: chase the chain; a revisit means a jump-only
-        # cycle, which is deadlock
-        chain = [p]
-        chain_set = {p}
-        cur = p
-        while True:
-            cur_ins = instruction_at(seq, cur)
-            t = canonical_position(seq, cur + cur_ins.counter)
-            t_ins = instruction_at(seq, t)
-            if t_ins is None:
-                result = shared_d()
-                break
-            if t in memo:
-                result = memo[t]
-                break
-            if t in chain_set:
-                result = shared_d()
-                break
-            if t_ins.kind == JUMP:
-                if t_ins.counter == 0:
-                    result = shared_d()
-                    break
-                chain.append(t)
-                chain_set.add(t)
-                cur = t
-                continue
-            result = node_at(t)
-            break
-        for q in chain:
-            memo[q] = result
-        return result
+        else:
+            # transparent jump: every jump of the chain shares the node it
+            # lands on, and a chain that reaches a memoized position stops
+            # there, which keeps extraction linear; a cycle of jumps is
+            # deadlock
+            passed: set[int] = set()
+            t = _chase(code, n, m, p, memo, passed)
+            nid = shared_d() if t is None or t in passed else node_at(t)
+            for q in passed:
+                memo[q] = nid
+        memo[p] = nid
+        return nid
 
     root = node_at(0)
     while fill:
         p, nid = fill.pop()
-        ins = instruction_at(seq, p)
-        if ins.kind == BASIC:
-            succ = node_at(p + 1)
-            nodes[nid][2] = succ
-            nodes[nid][3] = succ
-        elif ins.kind == POS_TEST:
-            nodes[nid][2] = node_at(p + 1)
-            nodes[nid][3] = node_at(p + 2)
-        elif ins.kind == NEG_TEST:
-            nodes[nid][2] = node_at(p + 2)
-            nodes[nid][3] = node_at(p + 1)
-        else:  # delay for a jump
+        ins = code[p]
+        if ins.kind == JUMP:  # delay for a jump
             nodes[nid][2] = node_at(p + ins.counter)
+        else:
+            t, f = _branches(p, ins)
+            nodes[nid][2] = node_at(t)
+            nodes[nid][3] = node_at(f)
 
     built = []
     for kind, action, a, b in nodes:

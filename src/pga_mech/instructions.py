@@ -353,6 +353,51 @@ def jump_target(seq: InstrSeq, p: int) -> int | JumpResolution:
     return target
 
 
+def _branches(p: int, ins: Instruction) -> tuple[int, int]:
+    """Where a run continues after the action instruction ``ins`` at ``p``:
+    the positions for a true and for a false reply."""
+    if ins.kind == POS_TEST:
+        return p + 1, p + 2
+    if ins.kind == NEG_TEST:
+        return p + 2, p + 1
+    return p + 1, p + 1
+
+
+def _successors(p: int, ins: Instruction) -> tuple[int, ...]:
+    """Positions a run can execute right after the instruction ``ins`` at ``p``."""
+    if ins.kind == JUMP:
+        return (p + ins.counter,) if ins.counter else ()
+    if ins.kind == TERMINATION:
+        return ()
+    return _branches(p, ins)
+
+
+def _chase(code, n: int, m: int, p: int, stop=(), passed: set[int] | None = None) -> int | None:
+    """Follow the jumps from position ``p`` of the unfolding of ``code``,
+    the prefix (length ``n``) then the cycle (length ``m``, 0 for none).
+
+    Returns the canonical position of the first entry that is not a jump
+    (an unassigned None entry included), is ``#0``, is in ``stop`` or was
+    passed before, which makes a cycle of jumps; None when the run falls
+    off the end.  Every jump passed on the way is added to ``passed``.
+    """
+    while True:
+        if p >= n:
+            if not m:
+                return None
+            p = n + (p - n) % m
+        ins = code[p]
+        if ins is None or ins.kind != JUMP or not ins.counter or p in stop:
+            return p
+        if passed is None:
+            passed = {p}
+        elif p in passed:
+            return p
+        else:
+            passed.add(p)
+        p += ins.counter
+
+
 def reachable_positions(seq: InstrSeq) -> set[int]:
     """Canonical positions executed by at least one run (some reply choice)."""
     seen: set[int] = set()
@@ -363,14 +408,7 @@ def reachable_positions(seq: InstrSeq) -> set[int]:
             continue
         seen.add(p)
         ins = instruction_at(seq, p)
-        succs: list[int] = []
-        if ins.kind == BASIC:
-            succs = [p + 1]
-        elif ins.kind in (POS_TEST, NEG_TEST):
-            succs = [p + 1, p + 2]
-        elif ins.kind == JUMP and ins.counter >= 1:
-            succs = [p + ins.counter]
-        for s in succs:
+        for s in _successors(p, ins):
             s = canonical_position(seq, s)
             if s not in seen and instruction_at(seq, s) is not None:
                 stack.append(s)

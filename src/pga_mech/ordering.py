@@ -9,11 +9,12 @@ with deadlock.
 
 Every relation here works on one normal form per graph: the
 divergence-collapsed graph together with its delay resolution, which
-writes each node as a delay count plus a delay-free core.  Behavior
-graphs are deterministic, so a relation holds at the roots exactly when no
-bad pair of cores can be reached from the pair of roots; one walk over the
-reachable pairs decides functional equivalence and improvement in both
-directions at once.
+writes each node as a delay count plus a delay-free core.  The resolution
+is ``threads._delay_resolution``, which ``functional_abstraction`` also
+uses.  Behavior graphs are deterministic, so a relation holds at the roots
+exactly when no bad pair of cores can be reached from the pair of roots;
+one walk over the reachable pairs decides functional equivalence and
+improvement in both directions at once.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from enum import Enum
 from .extraction import extract_mechanistic
 from .instructions import InstrSeq
 from .threads import (
-    DELAY,
     POST,
     ThreadGraph,
+    _delay_resolution,
     bisimilar,
     collapse_divergence,
 )
@@ -51,32 +52,12 @@ class ComparisonVerdict(Enum):
     FUNCTIONALLY_DIFFERENT = "functionally-different"
 
 
-def _delay_resolution(g: ThreadGraph) -> list[tuple[int, int]]:
-    """Per node: (number of delays to the first non-delay node, its id).
-
-    Requires a divergence-collapsed graph, where every delay chain is
-    finite and ends in S or a post node.
-    """
-    out: list[tuple[int, int] | None] = [None] * len(g.nodes)
-
-    def resolve(i: int) -> tuple[int, int]:
-        trail = []
-        while g.nodes[i].kind == DELAY and out[i] is None:
-            trail.append(i)
-            i = g.nodes[i].next
-        d, core = out[i] if out[i] is not None else (0, i)
-        for j in reversed(trail):
-            d += 1
-            out[j] = (d, core)
-        return out[i] if out[i] is not None else (0, i)
-
-    for i in range(len(g.nodes)):
-        if out[i] is None:
-            if g.nodes[i].kind == DELAY:
-                resolve(i)
-            else:
-                out[i] = (0, i)
-    return out  # type: ignore[return-value]
+# verdicts of ``compare(p, q)`` under which ``p`` improves ``q``
+_IMPROVING = frozenset({
+    ComparisonVerdict.EQUAL,
+    ComparisonVerdict.STRICTLY_IMPROVES,
+    ComparisonVerdict.MUTUALLY_EQUIVALENT,
+})
 
 
 _NormalForm = tuple[ThreadGraph, list[tuple[int, int]]]

@@ -19,14 +19,17 @@ from .instructions import (
     TERMINATE,
     InstrSeq,
     Instruction,
+    _chase,
+    _successors,
     canonical_position,
     instruction_at,
     jump,
+    jump_target,
     neg_test,
     pos_test,
     reachable_positions,
 )
-from .ordering import ComparisonVerdict, compare
+from .ordering import _IMPROVING, ComparisonVerdict, compare
 from .threads import (
     D,
     DELAY,
@@ -59,13 +62,6 @@ class RewriteVerificationError(RuntimeError):
     """A rewrite produced a sequence that fails its post-hoc comparison."""
 
 
-_ALLOWED_EVIDENCE = frozenset({
-    ComparisonVerdict.EQUAL,
-    ComparisonVerdict.STRICTLY_IMPROVES,
-    ComparisonVerdict.MUTUALLY_EQUIVALENT,
-})
-
-
 @dataclass(frozen=True)
 class RewriteStep:
     """One named, position-addressed transformation with its evidence."""
@@ -77,7 +73,7 @@ class RewriteStep:
     evidence: ComparisonVerdict
 
     def __post_init__(self) -> None:
-        if self.evidence not in _ALLOWED_EVIDENCE:
+        if self.evidence not in _IMPROVING:
             raise RewriteVerificationError(
                 f"rewrite {self.rule!r} at {self.site} yielded verdict "
                 f"{self.evidence.value!r}")
@@ -103,12 +99,10 @@ def _replace_at(seq: InstrSeq, p: int, ins: Instruction) -> InstrSeq:
 
 def _first_chained_jump(seq: InstrSeq) -> int | None:
     for p in sorted(reachable_positions(seq)):
-        ins = instruction_at(seq, p)
-        if ins.kind != JUMP or ins.counter == 0:
+        if instruction_at(seq, p).kind != JUMP:
             continue
-        t = canonical_position(seq, p + ins.counter)
-        t_ins = instruction_at(seq, t)
-        if t_ins is not None and t_ins.kind == JUMP and t != p:
+        t = jump_target(seq, p)
+        if isinstance(t, int) and t != p and instruction_at(seq, t).kind == JUMP:
             return p
     return None
 
@@ -117,30 +111,16 @@ def _resolve_chain(seq: InstrSeq, p: int) -> InstrSeq:
     """Rewrite the chained jump at ``p`` to land directly.  A chain ending
     in divergence becomes #0 from the prefix and a full-cycle self-jump
     from inside the cycle (that keeps the delay loop a delay loop)."""
-    seen = {p}
-    cur = p
-    total = 0
-    while True:
-        ins = instruction_at(seq, cur)
-        k = ins.counter
-        if k == 0:
-            replacement = jump(0)
-            break
-        total += k
-        nxt = canonical_position(seq, cur + k)
-        nxt_ins = instruction_at(seq, nxt)
-        if nxt_ins is None or nxt_ins.kind != JUMP:
-            replacement = jump(total)
-            break
-        if nxt in seen:
-            if p >= seq.prefix_len:
-                replacement = jump(seq.cycle_len)
-            else:
-                replacement = jump(0)
-            break
-        seen.add(nxt)
-        cur = nxt
-    return _replace_at(seq, p, replacement)
+    code = seq.prefix + (seq.cycle or ())
+    passed: set[int] = set()
+    t = _chase(code, seq.prefix_len, seq.cycle_len, p, passed=passed)
+    if t is None or code[t].kind != JUMP:
+        k = sum(code[q].counter for q in passed)
+    elif t in passed and p >= seq.prefix_len:  # a cycle of jumps
+        k = seq.cycle_len
+    else:
+        k = 0
+    return _replace_at(seq, p, jump(k))
 
 
 def unchain(seq: InstrSeq) -> tuple[InstrSeq, list[RewriteStep]]:
@@ -162,11 +142,10 @@ def eliminate_jump_to_termination(seq: InstrSeq) -> tuple[InstrSeq, list[Rewrite
     while True:
         site = None
         for p in sorted(reachable_positions(seq)):
-            ins = instruction_at(seq, p)
-            if ins.kind != JUMP or ins.counter == 0:
+            if instruction_at(seq, p).kind != JUMP:
                 continue
-            t_ins = instruction_at(seq, p + ins.counter)
-            if t_ins is not None and t_ins.kind == TERMINATION:
+            t = jump_target(seq, p)
+            if isinstance(t, int) and instruction_at(seq, t).kind == TERMINATION:
                 site = p
                 break
         if site is None:
@@ -217,15 +196,11 @@ def rewrite_negtest_jump(seq: InstrSeq, p: int) -> InstrSeq:
         raise RewriteError("site does not match the negative-test/termination/jump shape")
     interior = {p + 1, p + 2}
     for q in reachable_positions(seq):
-        if q == p:
-            continue
         ins = instruction_at(seq, q)
-        if ins.kind == JUMP and ins.counter >= 1:
-            if canonical_position(seq, q + ins.counter) in interior:
-                raise RewriteError("a jump targets the rewritten span")
-        elif ins.kind in (POS_TEST, NEG_TEST):
-            if canonical_position(seq, q + 2) in interior:
-                raise RewriteError("a test skips into the rewritten span")
+        if q != p and any(canonical_position(seq, t) in interior
+                          for t in _successors(q, ins)):
+            raise RewriteError("a jump targets the rewritten span" if ins.kind == JUMP
+                               else "a test skips into the rewritten span")
     after = _replace_at(seq, p, pos_test(i0.action))
     after = _replace_at(after, p + 1, jump(i2.counter + 1))
     after = _replace_at(after, p + 2, TERMINATE)
@@ -363,14 +338,11 @@ def expand_test_chain(seq: InstrSeq, p: int, r: int, new_target: int) -> InstrSe
 def _expansion_sites(seq: InstrSeq) -> list[int]:
     sites = []
     for p in sorted(reachable_positions(seq)):
-        i0 = instruction_at(seq, p)
-        if i0.kind != POS_TEST:
+        if instruction_at(seq, p).kind != POS_TEST:
             continue
-        n, m = seq.prefix_len, seq.cycle_len
-        if p < n:
-            if p + 3 > n:
-                continue
-        elif (p - n) + 3 > m:
+        try:
+            _region_span(seq, p, 3)
+        except RewriteError:
             continue
         i1 = instruction_at(seq, p + 1)
         i2 = instruction_at(seq, p + 2)
@@ -441,43 +413,27 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
 
 # --- code generation ---------------------------------------------------------
 
-def _has_cycle(g: ThreadGraph) -> bool:
-    color = [0] * len(g.nodes)  # 0 unseen, 1 on stack, 2 done
-    stack: list[tuple[int, int]] = [(g.root, 0)]
-    color[g.root] = 1
-    while stack:
-        node, edge = stack[-1]
-        succs = tuple(dict.fromkeys(g.nodes[node].successors()))
-        if edge >= len(succs):
-            color[node] = 2
-            stack.pop()
-            continue
-        stack[-1] = (node, edge + 1)
-        s = succs[edge]
-        if color[s] == 1:
-            return True
-        if color[s] == 0:
-            color[s] = 1
-            stack.append((s, 0))
-    return False
-
-
-def _topological(g: ThreadGraph) -> list[int]:
+def _layout(g: ThreadGraph) -> list[int] | None:
+    """Nodes in reverse postorder of a depth-first search from the root,
+    or None when the search meets a cycle."""
     # successors walked last-to-first so the reversed postorder lays the
     # true branch out before the false branch
     order: list[int] = []
-    state = [0] * len(g.nodes)
+    state = [0] * len(g.nodes)  # 0 unseen, 1 on the stack, 2 done
     stack: list[tuple[int, int]] = [(g.root, 0)]
     state[g.root] = 1
     while stack:
         node, edge = stack[-1]
-        succs = tuple(dict.fromkeys(reversed(g.nodes[node].successors())))
-        if edge >= len(succs):
+        succs = g.nodes[node].successors()[::-1]
+        if edge == len(succs):
+            state[node] = 2
             order.append(node)
             stack.pop()
             continue
         stack[-1] = (node, edge + 1)
         s = succs[edge]
+        if state[s] == 1:
+            return None
         if state[s] == 0:
             state[s] = 1
             stack.append((s, 0))
@@ -491,8 +447,10 @@ def codegen(p: ThreadGraph) -> InstrSeq:
     wrapping through the repetition when the graph is cyclic."""
     if any(node.kind == DELAY for node in p.nodes):
         raise RewriteError("thread contains delays")
-    cyclic = _has_cycle(p)
-    order = list(range(len(p.nodes))) if cyclic else _topological(p)
+    order = _layout(p)
+    cyclic = order is None
+    if cyclic:
+        order = list(range(len(p.nodes)))
     block = {node: i for i, node in enumerate(order)}
     total = 3 * len(order)
     out: list[Instruction] = []

@@ -15,14 +15,13 @@ from itertools import product
 
 from .extraction import extract_mechanistic
 from .instructions import (
-    BASIC,
     JUMP,
-    NEG_TEST,
-    POS_TEST,
     TERMINATE,
     TERMINATION,
     InstrSeq,
     Instruction,
+    _branches,
+    _chase,
     basic,
     jump,
     neg_test,
@@ -140,55 +139,34 @@ class _ShapeSearch:
             self._allowed[key] = allowed
         return self._allowed[key]
 
-    def _land(self, pos: int) -> int | None:
-        """Chase jumps from ``pos`` to the slot of the first non-jump
-        instruction or unassigned slot; None for deadlock (``#0``, falling
-        off the end, a cycle of jumps)."""
-        chase: set[int] = set()
-        while True:
-            s = self._slot(pos)
-            if s is None:
-                return None
-            ins = self.slots[s]
-            if ins is None or ins.kind != JUMP:
-                return s
-            if ins.counter == 0 or s in chase:
-                return None
-            chase.add(s)
-            pos = s + ins.counter
-
     def _walk(self, seen: set[tuple[int, int]], stack: list[tuple[int, int]]) -> None:
         """Continue the walk from ``stack`` (position, target node) items,
         then branch on the first unassigned slot it reached, or emit."""
         # an item that lands on an unassigned slot waits in ``pending``
         # while the rest of the walk looks for a mismatch
+        slots, n, m = self.slots, self.n, self.m
         pending: list[tuple[int, int, int]] = []
         while stack:
             start, tnode = stack.pop()
-            s = self._land(start)
+            s = _chase(slots, n, m, start)
             node = self.tnodes[tnode]
-            if s is None:
+            ins = None if s is None else slots[s]
+            if ins is None and s is not None:  # an unassigned slot
+                pending.append((s, start, tnode))
+                continue
+            if ins is None or ins.kind == JUMP:  # off the end, #0 or a cycle of jumps
                 if node.kind != D:
                     return
-                continue
-            ins = self.slots[s]
-            if ins is None:
-                pending.append((s, start, tnode))
                 continue
             if (s, tnode) in seen:
                 continue
             seen.add((s, tnode))
             if not _fits(ins, node):
                 return
-            if ins.kind == BASIC:
-                stack.append((s + 1, node.true))
-                stack.append((s + 1, node.false))
-            elif ins.kind == POS_TEST:
-                stack.append((s + 1, node.true))
-                stack.append((s + 2, node.false))
-            elif ins.kind == NEG_TEST:
-                stack.append((s + 2, node.true))
-                stack.append((s + 1, node.false))
+            if ins.kind != TERMINATION:
+                t, f = _branches(s, ins)
+                stack.append((t, node.true))
+                stack.append((f, node.false))
         if not pending:
             self._emit()
             return

@@ -88,17 +88,7 @@ class ThreadGraph:
                     index[s] = len(order)
                     order.append(s)
             qi += 1
-        rebuilt = []
-        for old in order:
-            node = nodes[old]
-            if node.kind == DELAY:
-                rebuilt.append(Node(DELAY, next=index[node.next]))
-            elif node.kind == POST:
-                rebuilt.append(Node(POST, action=node.action,
-                                    true=index[node.true], false=index[node.false]))
-            else:
-                rebuilt.append(Node(node.kind))
-        self.nodes: tuple[Node, ...] = tuple(rebuilt)
+        self.nodes: tuple[Node, ...] = tuple(_relabel(nodes[old], index) for old in order)
         self.root: int = 0
 
     def __len__(self) -> int:
@@ -117,6 +107,16 @@ class ThreadGraph:
         return print_thread(self)
 
 
+def _relabel(node: Node, new_id) -> Node:
+    """``node`` with each successor ``i`` renamed ``new_id[i]``; ``new_id``
+    is any table indexed by node id (a list, a dict or a range)."""
+    if node.kind == DELAY:
+        return Node(DELAY, next=new_id[node.next])
+    if node.kind == POST:
+        return Node(POST, action=node.action, true=new_id[node.true], false=new_id[node.false])
+    return Node(node.kind)
+
+
 # --- small constructors ----------------------------------------------------
 
 def make_s() -> ThreadGraph:
@@ -127,55 +127,32 @@ def make_d() -> ThreadGraph:
     return ThreadGraph([Node(D)], 0)
 
 
+def _shifted(g: ThreadGraph, shift: int) -> list[Node]:
+    """The nodes of ``g`` with every id moved up by ``shift``."""
+    new_id = range(shift, shift + len(g.nodes))
+    return [_relabel(node, new_id) for node in g.nodes]
+
+
 def make_delay(inner: ThreadGraph, count: int = 1) -> ThreadGraph:
     """Prepend ``count`` delay nodes to the root of ``inner``."""
     if count < 0:
         raise ValueError("delay count must be nonnegative")
-    shift = count
     nodes = [Node(DELAY, next=i + 1) for i in range(count)]
-    for node in inner.nodes:
-        if node.kind == DELAY:
-            nodes.append(Node(DELAY, next=node.next + shift))
-        elif node.kind == POST:
-            nodes.append(Node(POST, action=node.action,
-                              true=node.true + shift, false=node.false + shift))
-        else:
-            nodes.append(node)
-    return ThreadGraph(nodes, 0 if count else inner.root)
+    return ThreadGraph(nodes + _shifted(inner, count), 0 if count else inner.root)
 
 
 def make_post(action: str, on_true: ThreadGraph, on_false: ThreadGraph) -> ThreadGraph:
     """Branch on ``action``: continue as ``on_true``/``on_false``."""
-    t_shift = 1
     f_shift = 1 + len(on_true.nodes)
-    nodes = [Node(POST, action=action, true=on_true.root + t_shift,
-                  false=on_false.root + f_shift)]
-    for g, shift in ((on_true, t_shift), (on_false, f_shift)):
-        for node in g.nodes:
-            if node.kind == DELAY:
-                nodes.append(Node(DELAY, next=node.next + shift))
-            elif node.kind == POST:
-                nodes.append(Node(POST, action=node.action,
-                                  true=node.true + shift, false=node.false + shift))
-            else:
-                nodes.append(node)
-    return ThreadGraph(nodes, 0)
+    root = Node(POST, action=action, true=on_true.root + 1, false=on_false.root + f_shift)
+    return ThreadGraph([root] + _shifted(on_true, 1) + _shifted(on_false, f_shift), 0)
 
 
 def make_prefix(action: str, inner: ThreadGraph) -> ThreadGraph:
     """Action prefixing: perform ``action``, then continue as ``inner``
     regardless of the reply (both branches share one node)."""
-    shift = 1
-    nodes = [Node(POST, action=action, true=inner.root + shift, false=inner.root + shift)]
-    for node in inner.nodes:
-        if node.kind == DELAY:
-            nodes.append(Node(DELAY, next=node.next + shift))
-        elif node.kind == POST:
-            nodes.append(Node(POST, action=node.action,
-                              true=node.true + shift, false=node.false + shift))
-        else:
-            nodes.append(node)
-    return ThreadGraph(nodes, 0)
+    root = Node(POST, action=action, true=inner.root + 1, false=inner.root + 1)
+    return ThreadGraph([root] + _shifted(inner, 1), 0)
 
 
 # --- bisimulation and minimization -----------------------------------------
@@ -300,16 +277,7 @@ def minimize(g: ThreadGraph) -> ThreadGraph:
     rep: dict[int, int] = {}
     for i, b in enumerate(blocks):
         rep.setdefault(b, i)
-    nodes = []
-    for b in range(len(rep)):
-        node = g.nodes[rep[b]]
-        if node.kind == DELAY:
-            nodes.append(Node(DELAY, next=blocks[node.next]))
-        elif node.kind == POST:
-            nodes.append(Node(POST, action=node.action,
-                              true=blocks[node.true], false=blocks[node.false]))
-        else:
-            nodes.append(node)
+    nodes = [_relabel(g.nodes[rep[b]], blocks) for b in range(len(rep))]
     return ThreadGraph(nodes, blocks[g.root])
 
 
@@ -337,55 +305,44 @@ def collapse_divergence(g: ThreadGraph) -> ThreadGraph:
                 stack.append(parent)
     if not live[g.root]:
         return make_d()
-    nodes = list(g.nodes)
-    d_shared = None
-    for i in range(n):
-        node = nodes[i]
-        if not live[i]:
+    keep = [i if live[i] else n for i in range(n)]  # node n is the shared D
+    # a live delay leads to a live node, so only post nodes have edges into
+    # dead nodes; redirected, those edges leave every dead node unreachable
+    nodes = [_relabel(node, keep) if node.kind == POST and not (live[node.true] and live[node.false])
+             else node for node in g.nodes]
+    return ThreadGraph(nodes + [Node(D)], g.root)
+
+
+def _delay_resolution(g: ThreadGraph) -> list[tuple[int, int]]:
+    """Per node: (number of delays to the first non-delay node, its id).
+
+    Requires a divergence-collapsed graph, where every delay chain is
+    finite and ends in S or a post node.
+    """
+    nodes = g.nodes
+    out = [None if node.kind == DELAY else (0, i) for i, node in enumerate(nodes)]
+    for start in range(len(nodes)):
+        if out[start] is not None:
             continue
-        if node.kind == POST:
-            t, f = node.true, node.false
-            if not live[t] or not live[f]:
-                if d_shared is None:
-                    d_shared = len(nodes)
-                    nodes.append(Node(D))
-                t = t if live[t] else d_shared
-                f = f if live[f] else d_shared
-                nodes[i] = Node(POST, action=node.action, true=t, false=f)
-    return ThreadGraph(nodes, g.root)
+        trail = []
+        i = start
+        while out[i] is None:
+            trail.append(i)
+            i = nodes[i].next
+        d, core = out[i]
+        for j in reversed(trail):
+            d += 1
+            out[j] = (d, core)
+    return out
 
 
 def functional_abstraction(g: ThreadGraph) -> ThreadGraph:
     """Erase all delays: collapse divergence, then route every edge into a
     delay node to that node's first non-delay descendant."""
     g = collapse_divergence(g)
-    resolve: dict[int, int] = {}
-
-    def target(i: int) -> int:
-        trail = []
-        while g.nodes[i].kind == DELAY and i not in resolve:
-            trail.append(i)
-            i = g.nodes[i].next
-        final = resolve.get(i, i)
-        for t in trail:
-            resolve[t] = final
-        return final
-
-    nodes = []
-    index = {}
-    for i, node in enumerate(g.nodes):
-        if node.kind != DELAY:
-            index[i] = len(nodes)
-            nodes.append(node)
-    rebuilt = []
-    for node in nodes:
-        if node.kind == POST:
-            rebuilt.append(Node(POST, action=node.action,
-                                true=index[target(node.true)],
-                                false=index[target(node.false)]))
-        else:
-            rebuilt.append(node)
-    return ThreadGraph(rebuilt, index[target(g.root)])
+    core = [c for _, c in _delay_resolution(g)]
+    # the delay nodes are left unreachable, and the constructor drops them
+    return ThreadGraph([_relabel(node, core) for node in g.nodes], core[g.root])
 
 
 # --- text format ------------------------------------------------------------
@@ -413,6 +370,7 @@ def parse_thread(text: str) -> ThreadGraph:
     root.  Forms: ``S``, ``D``, ``sigma(N)``, ``a ? N1 : N2`` and the
     action-prefix sugar ``a . N``."""
     defs: dict[str, tuple] = {}
+    lines: dict[str, int] = {}
     order: list[str] = []
     for lineno, raw_line in enumerate(text.split("\n"), 1):
         for segment in raw_line.split(";"):
@@ -441,14 +399,15 @@ def parse_thread(text: str) -> ThreadGraph:
                 defs[name] = (POST, m2.group(1), m2.group(2), m2.group(2))
             else:
                 raise ThreadSyntaxError(f"cannot parse right-hand side {rhs!r}", lineno)
+            lines[name] = lineno
             order.append(name)
     if not order:
         raise ThreadSyntaxError("no equations")
     index = {name: i for i, name in enumerate(order)}
 
-    def ref(name: str) -> int:
+    def ref(name: str, user: str) -> int:
         if name not in index:
-            raise ThreadSyntaxError(f"undefined name {name!r}")
+            raise ThreadSyntaxError(f"undefined name {name!r}", lines[user])
         return index[name]
 
     nodes = []
@@ -459,9 +418,9 @@ def parse_thread(text: str) -> ThreadGraph:
         elif d[0] == D:
             nodes.append(Node(D))
         elif d[0] == DELAY:
-            nodes.append(Node(DELAY, next=ref(d[1])))
+            nodes.append(Node(DELAY, next=ref(d[1], name)))
         else:
-            nodes.append(Node(POST, action=d[1], true=ref(d[2]), false=ref(d[3])))
+            nodes.append(Node(POST, action=d[1], true=ref(d[2], name), false=ref(d[3], name)))
     return ThreadGraph(nodes, 0)
 
 

@@ -123,6 +123,13 @@ def test_rewrite_improve_nothing_found():
     assert result.exit_code == 0
 
 
+def test_rewrite_improve_steps_must_be_positive():
+    for steps in ("0", "-2"):
+        result = run("rewrite", "improve", "--steps", steps, "--pga", "(+a;#4;+b;#4;!)^w")
+        assert result.exit_code == 2, steps
+        assert result.stdout == ""
+
+
 def test_rewrite_unroll_on_finite_is_usage_error():
     assert run("rewrite", "unroll", "--pga", "a;!").exit_code == 2
 

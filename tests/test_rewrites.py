@@ -55,6 +55,14 @@ def test_unchain_golden():
     out, steps = unchain(parse_pga("#2;a;#1;b;!"))
     assert print_pga(out) == "#3;a;#1;b;!"
     assert len(steps) == 1 and steps[0].site == 0
+    # one chain per way a chain can end: a jump loop inside the repeating
+    # part, a jump loop entered from the prefix, falling off the end
+    for text, expected in (("a;(#1;#1)^w", "a;(#2;#1)^w"),
+                           ("#1;(#1;#1)^w", "#0;(#1;#1)^w"),
+                           ("#1;#5;a", "#6;#5;a")):
+        out, steps = unchain(parse_pga(text))
+        assert print_pga(out) == expected, text
+        assert len(steps) == 1, text
 
 
 def test_unchain_no_jumps():

@@ -4,7 +4,9 @@ chains ``#1ⁿ;a;!`` against ``#1ⁿ⁻¹;a;!`` and the delayed loop
 the first and the fixpoint preorder cubic on the second; the product walks
 and Hopcroft refinement are near linear.  Also for implementation search on
 ``a ? b.S : c.S``, where index-order enumeration spends most of its time
-on the options of slots that a jump flies over."""
+on the options of slots that a jump flies over, and for functional
+extraction of many jumps that land on one long jump chain, where a chase
+that re-walks the chain from every jump is quadratic."""
 
 import time
 
@@ -13,6 +15,7 @@ from pga_mech import (
     SearchBounds,
     bisimilar,
     compare,
+    extract_functional,
     extract_mechanistic,
     improves,
     make_post,
@@ -74,3 +77,11 @@ def test_search_branching_target_at_6_and_7():
     at7 = _timed(search_implementations, target, SearchBounds(7, 0, ("a", "b", "c")), budget=5.0)
     assert len(at7) == 224
     assert at7[:len(at6)] == at6
+
+
+def test_converging_jump_chains_extract_functional_at_4000():
+    # block i is +a;#(2n-2i-1), whose jump lands on the first of n #1s
+    n = 4000
+    blocks = [f"+a;#{2 * n - 2 * i - 1}" for i in range(n)]
+    seq = parse_pga(";".join(blocks + ["#1"] * n + ["b", "!"]))
+    assert len(_timed(extract_functional, seq)) == n + 2

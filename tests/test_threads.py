@@ -64,8 +64,12 @@ def test_parse_thread_comments():
 def test_parse_thread_errors():
     with pytest.raises(ThreadSyntaxError):
         parse_thread("")
-    with pytest.raises(ThreadSyntaxError):
+    with pytest.raises(ThreadSyntaxError) as undefined:
         parse_thread("P = a ? Q : R\nQ = S")  # R undefined
+    assert undefined.value.line == 1
+    with pytest.raises(ThreadSyntaxError) as undefined:
+        parse_thread("P = a . Q\nQ = sigma(R)\nT = b ? R : P")
+    assert undefined.value.line == 2 and "'R'" in str(undefined.value)
     with pytest.raises(ThreadSyntaxError):
         parse_thread("P = S\nP = D")
     with pytest.raises(ThreadSyntaxError):
