@@ -18,7 +18,7 @@ from .instructions import (
     InstrSeq,
     _branches,
     _chase,
-    canonical_position,
+    _slot,
 )
 from .threads import D, DELAY, POST, S, Node, ThreadGraph
 
@@ -54,8 +54,8 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
         return d_id
 
     def node_at(p: int) -> int:
-        p = canonical_position(seq, p)
-        if p >= len(code):
+        p = _slot(n, m, p)
+        if p is None:
             return shared_d()
         if p in memo:
             return memo[p]

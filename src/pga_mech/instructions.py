@@ -314,24 +314,35 @@ def print_pga(seq: InstrSeq) -> str:
 
 # --- positions -------------------------------------------------------------
 
+def _slot(n: int, m: int, p: int) -> int | None:
+    """The canonical slot of position ``p`` of the unfolding of a prefix of
+    length ``n`` and a cycle of length ``m`` (0 for none): ``p`` itself in
+    the prefix, its place in the first cycle copy after it, or None when
+    the run falls off the end."""
+    if p < n:
+        return p
+    if not m:
+        return None
+    return n + (p - n) % m
+
+
 def canonical_position(seq: InstrSeq, p: int) -> int:
     """Map an unfolding index into the prefix or the first cycle copy."""
     if p < 0:
         raise ValueError("positions are natural numbers")
-    n = seq.prefix_len
-    if p < n or seq.cycle is None:
-        return p
-    return n + (p - n) % seq.cycle_len
+    s = _slot(seq.prefix_len, seq.cycle_len, p)
+    return p if s is None else s
 
 
 def instruction_at(seq: InstrSeq, p: int) -> Instruction | None:
     """Instruction at position ``p`` of the unfolding, or None past the end."""
-    p = canonical_position(seq, p)
-    if p < seq.prefix_len:
-        return seq.prefix[p]
-    if seq.cycle is None:
+    if p < 0:
+        raise ValueError("positions are natural numbers")
+    n = seq.prefix_len
+    s = _slot(n, seq.cycle_len, p)
+    if s is None:
         return None
-    return seq.cycle[p - seq.prefix_len]
+    return seq.prefix[s] if s < n else seq.cycle[s - n]
 
 
 class JumpResolution(Enum):
@@ -347,10 +358,8 @@ def jump_target(seq: InstrSeq, p: int) -> int | JumpResolution:
         raise ValueError("not a jump")
     if ins.counter == 0:
         return JumpResolution.IMMEDIATE_DIVERGENCE
-    target = canonical_position(seq, canonical_position(seq, p) + ins.counter)
-    if instruction_at(seq, target) is None:
-        return JumpResolution.FALLS_OFF_END
-    return target
+    target = _slot(seq.prefix_len, seq.cycle_len, canonical_position(seq, p) + ins.counter)
+    return JumpResolution.FALLS_OFF_END if target is None else target
 
 
 def _branches(p: int, ins: Instruction) -> tuple[int, int]:
@@ -383,9 +392,9 @@ def _chase(code, n: int, m: int, p: int, stop=(), passed: set[int] | None = None
     """
     while True:
         if p >= n:
-            if not m:
+            p = _slot(n, m, p)
+            if p is None:
                 return None
-            p = n + (p - n) % m
         ins = code[p]
         if ins is None or ins.kind != JUMP or not ins.counter or p in stop:
             return p
@@ -400,17 +409,18 @@ def _chase(code, n: int, m: int, p: int, stop=(), passed: set[int] | None = None
 
 def reachable_positions(seq: InstrSeq) -> set[int]:
     """Canonical positions executed by at least one run (some reply choice)."""
+    code = seq.prefix + (seq.cycle or ())
+    n, m = seq.prefix_len, seq.cycle_len
     seen: set[int] = set()
-    stack = [canonical_position(seq, 0)]
+    stack = [0]  # a sequence is nonempty, so position 0 is its first slot
     while stack:
         p = stack.pop()
-        if p in seen or instruction_at(seq, p) is None:
+        if p in seen:
             continue
         seen.add(p)
-        ins = instruction_at(seq, p)
-        for s in _successors(p, ins):
-            s = canonical_position(seq, s)
-            if s not in seen and instruction_at(seq, s) is not None:
+        for s in _successors(p, code[p]):
+            s = _slot(n, m, s)
+            if s is not None and s not in seen:
                 stack.append(s)
     return seen
 

@@ -35,7 +35,7 @@ from .threads import (
     DELAY,
     S,
     ThreadGraph,
-    collapse_divergence,
+    _delay_resolution,
 )
 
 __all__ = [
@@ -158,24 +158,24 @@ def eliminate_jump_to_termination(seq: InstrSeq) -> tuple[InstrSeq, list[Rewrite
 def has_adjacent_delays(g: ThreadGraph) -> bool:
     """True iff, after divergence collapse, some reachable delay node leads
     directly into another delay node (a two-delay residual)."""
-    g = collapse_divergence(g)
-    return any(node.kind == DELAY and g.nodes[node.next].kind == DELAY
-               for node in g.nodes)
+    return any(d > 1 for d, _ in _delay_resolution(g)[1])
 
 
 # --- local shape rewrites ----------------------------------------------------
 
-def _region_span(seq: InstrSeq, p: int, length: int) -> None:
-    """Reject spans that leave the prefix or wrap around the cycle."""
+def _region_span(seq: InstrSeq, p: int, length: int) -> tuple[Instruction, ...]:
+    """The ``length`` instructions from ``p``; rejects spans that leave the
+    prefix or wrap around the cycle."""
     n, m = seq.prefix_len, seq.cycle_len
     if p < n:
         if p + length > n:
             raise RewriteError("span crosses prefix/cycle boundary")
-    else:
-        if seq.cycle is None:
-            raise RewriteError("span starts past the end of a finite sequence")
-        if (p - n) + length > m:
-            raise RewriteError("span crosses prefix/cycle boundary")
+        return seq.prefix[p:p + length]
+    if seq.cycle is None:
+        raise RewriteError("span starts past the end of a finite sequence")
+    if (p - n) + length > m:
+        raise RewriteError("span crosses prefix/cycle boundary")
+    return seq.cycle[p - n:p - n + length]
 
 
 def rewrite_negtest_jump(seq: InstrSeq, p: int) -> InstrSeq:
@@ -186,13 +186,9 @@ def rewrite_negtest_jump(seq: InstrSeq, p: int) -> InstrSeq:
     the mechanistic behavior is unchanged, which is verified.
     """
     p = canonical_position(seq, p)
-    _region_span(seq, p, 3)
-    i0 = instruction_at(seq, p)
-    i1 = instruction_at(seq, p + 1)
-    i2 = instruction_at(seq, p + 2)
-    if (i0 is None or i0.kind != NEG_TEST
-            or i1 is None or i1.kind != TERMINATION
-            or i2 is None or i2.kind != JUMP or i2.counter < 1):
+    i0, i1, i2 = _region_span(seq, p, 3)
+    if (i0.kind != NEG_TEST or i1.kind != TERMINATION
+            or i2.kind != JUMP or i2.counter < 1):
         raise RewriteError("site does not match the negative-test/termination/jump shape")
     interior = {p + 1, p + 2}
     for q in reachable_positions(seq):
@@ -291,13 +287,9 @@ def expand_test_chain(seq: InstrSeq, p: int, r: int, new_target: int) -> InstrSe
     p = canonical_position(seq, p)
     if r < 1:
         raise RewriteError("expansion count must be at least 1")
-    _region_span(seq, p, 3)
-    i0 = instruction_at(seq, p)
-    i1 = instruction_at(seq, p + 1)
-    i2 = instruction_at(seq, p + 2)
-    if (i0 is None or i0.kind != POS_TEST
-            or i1 is None or i1.kind != JUMP or i1.counter < 1
-            or i2 is None or i2.kind != TERMINATION):
+    i0, i1, i2 = _region_span(seq, p, 3)
+    if (i0.kind != POS_TEST or i1.kind != JUMP or i1.counter < 1
+            or i2.kind != TERMINATION):
         raise RewriteError("site does not match the test/jump/termination shape")
     action = i0.action
     t = canonical_position(seq, new_target)
@@ -341,13 +333,10 @@ def _expansion_sites(seq: InstrSeq) -> list[int]:
         if instruction_at(seq, p).kind != POS_TEST:
             continue
         try:
-            _region_span(seq, p, 3)
+            _, i1, i2 = _region_span(seq, p, 3)
         except RewriteError:
             continue
-        i1 = instruction_at(seq, p + 1)
-        i2 = instruction_at(seq, p + 2)
-        if (i1 is not None and i1.kind == JUMP and i1.counter >= 1
-                and i2 is not None and i2.kind == TERMINATION):
+        if i1.kind == JUMP and i1.counter >= 1 and i2.kind == TERMINATION:
             sites.append(p)
     return sites
 

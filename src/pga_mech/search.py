@@ -22,12 +22,13 @@ from .instructions import (
     Instruction,
     _branches,
     _chase,
+    _slot,
     basic,
     jump,
     neg_test,
     pos_test,
 )
-from .ordering import improves, strictly_improved
+from .ordering import improves, strictly_improves
 from .threads import D, DELAY, POST, S, ThreadGraph, functional_abstraction
 
 __all__ = [
@@ -114,13 +115,6 @@ class _ShapeSearch:
             out.append(InstrSeq(tuple(ins[:n]), tuple(ins[n:]) if self.m else None))
         return out
 
-    def _slot(self, pos: int) -> int | None:
-        if pos < self.n:
-            return pos
-        if self.m == 0:
-            return None  # off the end: deadlock
-        return self.n + (pos - self.n) % self.m
-
     def _allowed_at(self, s: int, tnode: int) -> list[int]:
         """Options for slot ``s`` reached at target node ``tnode``: those
         that fit the node, and every jump except, away from D, the ones
@@ -133,7 +127,7 @@ class _ShapeSearch:
                 if ins.kind != JUMP:
                     if _fits(ins, node):
                         allowed.append(i)
-                elif node.kind == D or (ins.counter and self._slot(s + ins.counter)
+                elif node.kind == D or (ins.counter and _slot(self.n, self.m, s + ins.counter)
                                         not in (None, s)):
                     allowed.append(i)
             self._allowed[key] = allowed
@@ -241,5 +235,6 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds,
 
 def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     """Members not strictly improved by any other member."""
-    beaten = strictly_improved([extract_mechanistic(s) for s in seqs])
-    return [s for s, b in zip(seqs, beaten) if not b]
+    graphs = [extract_mechanistic(s) for s in seqs]
+    return [s for i, s in enumerate(seqs)
+            if not any(strictly_improves(h, graphs[i]) for j, h in enumerate(graphs) if j != i)]

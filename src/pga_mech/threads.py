@@ -281,68 +281,59 @@ def minimize(g: ThreadGraph) -> ThreadGraph:
     return ThreadGraph(nodes, blocks[g.root])
 
 
-# --- divergence collapse and delay erasure ----------------------------------
+# --- divergence and delay resolution ---------------------------------------
+# Divergence (a delay loop, or a delay chain into D) behaves as deadlock.
+# Every relation reads the one-pass resolution below; none builds a graph.
+
+def _delay_resolution(g: ThreadGraph) -> tuple[tuple[Node, ...], list[tuple[int, int]]]:
+    """``g.nodes`` plus the shared D node, and for each of those nodes the
+    number of delays before the first S or post node on its delay chain
+    and that node's id, or ``(0, len(g))`` when the chain diverges."""
+    nodes = g.nodes
+    d_id = len(nodes)
+    out: list = [None if node.kind == DELAY else (0, d_id) if node.kind == D else (0, i)
+                 for i, node in enumerate(nodes)]
+    for start in range(d_id):
+        if out[start] is not None:
+            continue
+        # each trail node is marked divergent before it is followed, so a
+        # chain that loops back onto its own trail stays divergent
+        trail = []
+        i = start
+        while out[i] is None:
+            trail.append(i)
+            out[i] = (0, d_id)
+            i = nodes[i].next
+        count, core = out[i]
+        if core != d_id:
+            for j in reversed(trail):
+                count += 1
+                out[j] = (count, core)
+    out.append((0, d_id))
+    return nodes + (Node(D),), out
+
 
 def collapse_divergence(g: ThreadGraph) -> ThreadGraph:
     """Replace every node from which no S and no post node is reachable by a
     single shared D node.  Pure-delay loops and delay chains into D all
     become D; the functional behavior is unchanged."""
-    n = len(g.nodes)
-    live = [False] * n
-    stack = []
-    delay_parents: dict[int, list[int]] = {}
-    for i, node in enumerate(g.nodes):
-        if node.kind in (S, POST):
-            live[i] = True
-            stack.append(i)
-        elif node.kind == DELAY:
-            delay_parents.setdefault(node.next, []).append(i)
-    while stack:
-        i = stack.pop()
-        for parent in delay_parents.get(i, ()):
-            if not live[parent]:
-                live[parent] = True
-                stack.append(parent)
-    if not live[g.root]:
-        return make_d()
-    keep = [i if live[i] else n for i in range(n)]  # node n is the shared D
+    nodes, resolution = _delay_resolution(g)
+    d_id = len(g)
+    keep = [d_id if core == d_id else i for i, (_, core) in enumerate(resolution)]
     # a live delay leads to a live node, so only post nodes have edges into
-    # dead nodes; redirected, those edges leave every dead node unreachable
-    nodes = [_relabel(node, keep) if node.kind == POST and not (live[node.true] and live[node.false])
-             else node for node in g.nodes]
-    return ThreadGraph(nodes + [Node(D)], g.root)
-
-
-def _delay_resolution(g: ThreadGraph) -> list[tuple[int, int]]:
-    """Per node: (number of delays to the first non-delay node, its id).
-
-    Requires a divergence-collapsed graph, where every delay chain is
-    finite and ends in S or a post node.
-    """
-    nodes = g.nodes
-    out = [None if node.kind == DELAY else (0, i) for i, node in enumerate(nodes)]
-    for start in range(len(nodes)):
-        if out[start] is not None:
-            continue
-        trail = []
-        i = start
-        while out[i] is None:
-            trail.append(i)
-            i = nodes[i].next
-        d, core = out[i]
-        for j in reversed(trail):
-            d += 1
-            out[j] = (d, core)
-    return out
+    # divergent nodes; redirected, those edges leave them all unreachable
+    return ThreadGraph([_relabel(node, keep) if node.kind == POST
+                        and (keep[node.true] == d_id or keep[node.false] == d_id) else node
+                        for node in nodes], keep[g.root])
 
 
 def functional_abstraction(g: ThreadGraph) -> ThreadGraph:
-    """Erase all delays: collapse divergence, then route every edge into a
-    delay node to that node's first non-delay descendant."""
-    g = collapse_divergence(g)
-    core = [c for _, c in _delay_resolution(g)]
+    """Erase all delays: route every edge into a delay node to that node's
+    first non-delay descendant, and every divergent one to deadlock."""
+    nodes, resolution = _delay_resolution(g)
+    core = [c for _, c in resolution]
     # the delay nodes are left unreachable, and the constructor drops them
-    return ThreadGraph([_relabel(node, core) for node in g.nodes], core[g.root])
+    return ThreadGraph([_relabel(node, core) for node in nodes], core[g.root])
 
 
 # --- text format ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared test machinery: random generators, a reference interpreter for
 co-simulation, the brute-force rule-closure oracle for the improvement
 preorder on finite thread terms, and the slow reference algorithms (Moore
-refinement, the greatest-fixpoint preorder and the index-order
-implementation search) that the library is checked against."""
+refinement, the liveness-based divergence collapse, the greatest-fixpoint
+preorder and the index-order implementation search) that the library is
+checked against."""
 
 from __future__ import annotations
 
@@ -14,9 +15,7 @@ from pga_mech import (
     SearchBounds,
     ThreadGraph,
     basic,
-    collapse_divergence,
     extract_mechanistic,
-    functional_abstraction,
     improves,
     jump,
     make_d,
@@ -302,8 +301,10 @@ def chain_witnesses():
 
 
 # --- reference relations -----------------------------------------------------
-# Moore refinement and the greatest-fixpoint preorder: quadratic or worse,
-# but simple enough to trust as oracles for the library's walks.
+# Moore refinement, the liveness-based divergence collapse and the
+# greatest-fixpoint preorder: quadratic or worse, or a second pass where the
+# library makes one, but simple enough to trust as oracles for the
+# library's walks and its delay resolution.
 
 def refine_blocks(nodes) -> list[int]:
     """Moore partition refinement; returns a block id per node.  Two nodes
@@ -366,8 +367,35 @@ def reference_minimize(g: ThreadGraph) -> ThreadGraph:
     return ThreadGraph(nodes, ids[blocks[g.root]])
 
 
-def reference_functionally_equivalent(p: ThreadGraph, q: ThreadGraph) -> bool:
-    return reference_bisimilar(functional_abstraction(p), functional_abstraction(q))
+def reference_collapse_divergence(g: ThreadGraph) -> ThreadGraph:
+    """Replace every node from which no S and no post node is reachable by a
+    single shared D node, found by a backward liveness pass over the delay
+    edges."""
+    n = len(g.nodes)
+    live = [False] * n
+    stack = []
+    delay_parents: dict[int, list[int]] = {}
+    for i, node in enumerate(g.nodes):
+        if node.kind in (S, POST):
+            live[i] = True
+            stack.append(i)
+        elif node.kind == DELAY:
+            delay_parents.setdefault(node.next, []).append(i)
+    while stack:
+        i = stack.pop()
+        for parent in delay_parents.get(i, ()):
+            if not live[parent]:
+                live[parent] = True
+                stack.append(parent)
+    if not live[g.root]:
+        return make_d()
+    keep = [i if live[i] else n for i in range(n)]  # node n is the shared D
+    # a live delay leads to a live node, so only post nodes have edges into
+    # dead nodes; redirected, those edges leave every dead node unreachable
+    nodes = [Node(POST, action=node.action, true=keep[node.true], false=keep[node.false])
+             if node.kind == POST and not (live[node.true] and live[node.false])
+             else node for node in g.nodes]
+    return ThreadGraph(nodes + [Node(D)], g.root)
 
 
 def _resolve_delays(g: ThreadGraph, i: int) -> tuple[int, int]:
@@ -380,10 +408,34 @@ def _resolve_delays(g: ThreadGraph, i: int) -> tuple[int, int]:
     return count, i
 
 
+def reference_functional_abstraction(g: ThreadGraph) -> ThreadGraph:
+    """Collapse divergence, then send every edge to the first non-delay
+    node on its delay chain."""
+    g = reference_collapse_divergence(g)
+
+    def core(i: int) -> int:
+        return _resolve_delays(g, i)[1]
+
+    nodes = [Node(POST, action=node.action, true=core(node.true), false=core(node.false))
+             if node.kind == POST else node for node in g.nodes]
+    return ThreadGraph(nodes, core(g.root))
+
+
+def reference_has_adjacent_delays(g: ThreadGraph) -> bool:
+    """Whether the divergence-collapsed graph has a delay into a delay."""
+    g = reference_collapse_divergence(g)
+    return any(node.kind == DELAY and g.nodes[node.next].kind == DELAY for node in g.nodes)
+
+
+def reference_functionally_equivalent(p: ThreadGraph, q: ThreadGraph) -> bool:
+    return reference_bisimilar(reference_functional_abstraction(p),
+                               reference_functional_abstraction(q))
+
+
 def reference_improves(p: ThreadGraph, q: ThreadGraph) -> bool:
     """Greatest fixpoint over all same-kind pairs of delay-free cores of the
     divergence-collapsed graphs, rescanned until nothing is removed."""
-    pg, qg = collapse_divergence(p), collapse_divergence(q)
+    pg, qg = reference_collapse_divergence(p), reference_collapse_divergence(q)
     p_cores = [i for i, node in enumerate(pg.nodes) if node.kind != DELAY]
     q_cores = [i for i, node in enumerate(qg.nodes) if node.kind != DELAY]
     rel = {(a, b) for a in p_cores for b in q_cores
@@ -562,7 +614,7 @@ def reference_search_implementations(p: ThreadGraph, bounds: SearchBounds) -> li
     """Every sequence within the bounds whose mechanistic behavior ``p``
     improves, in length-lexicographic order: by total length, then cycle
     length, then the per-slot option indices."""
-    fa_target = functional_abstraction(p)
+    fa_target = reference_functional_abstraction(p)
     alphabet = tuple(sorted(set(bounds.alphabet)))
     found: list[InstrSeq] = []
     for total in range(1, bounds.max_prefix + bounds.max_cycle + 1):

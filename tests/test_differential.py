@@ -1,6 +1,7 @@
-"""The product-walk relations, Hopcroft minimization and the demand-driven
-implementation search against the slow reference algorithms in
-``helpers``: Moore refinement, the greatest-fixpoint preorder and the
+"""The product-walk relations, Hopcroft minimization, the one-pass delay
+resolution and the demand-driven implementation search against the slow
+reference algorithms in ``helpers``: Moore refinement, the
+greatest-fixpoint preorder, the liveness-based divergence collapse and the
 index-order search.
 
 Independent random graphs are almost always functionally different, so
@@ -16,22 +17,30 @@ from pga_mech import (
     ComparisonVerdict,
     SearchBounds,
     bisimilar,
+    collapse_divergence,
     compare,
     extract_functional,
     extract_mechanistic,
+    functional_abstraction,
     functionally_equivalent,
+    has_adjacent_delays,
     improves,
+    make_post,
     minimize,
     search_implementations,
 )
+from pga_mech.threads import D, DELAY
 
 from helpers import (
     perturb_delays,
     random_graph,
     random_seq,
     reference_bisimilar,
+    reference_collapse_divergence,
     reference_compare,
+    reference_functional_abstraction,
     reference_functionally_equivalent,
+    reference_has_adjacent_delays,
     reference_improves,
     reference_minimize,
     reference_search_implementations,
@@ -84,6 +93,38 @@ def test_minimize_matches_reference():
             g = extract_mechanistic(random_seq(rng, max_prefix=8, max_cycle=8))
         g = perturb_delays(rng, g, moves=rng.randint(0, 3))
         assert minimize(g) == reference_minimize(g), g.nodes
+
+
+def _has_delay_loop(g):
+    for i in range(len(g)):
+        passed = set()
+        while g.nodes[i].kind == DELAY:
+            if i in passed:
+                return True
+            passed.add(i)
+            i = g.nodes[i].next
+    return False
+
+
+def test_delay_resolution_matches_reference():
+    # three random graphs under two posts (the constructors keep each one's
+    # D nodes apart) with delay edits, and mechanistic extractions, so that
+    # delay loops, delay chains into D and several D nodes are all common
+    rng = random.Random(3004)
+    shapes = set()
+    for k in range(1500):
+        if k % 3:
+            parts = [random_graph(rng, max_nodes=8) for _ in range(3)]
+            g = make_post("a", parts[0], make_post("b", parts[1], parts[2]))
+        else:
+            g = extract_mechanistic(random_seq(rng, max_prefix=6, max_cycle=6))
+        g = perturb_delays(rng, g, moves=rng.randint(0, 3))
+        assert collapse_divergence(g) == reference_collapse_divergence(g), g.nodes
+        assert functional_abstraction(g) == reference_functional_abstraction(g), g.nodes
+        adjacent = has_adjacent_delays(g)
+        assert adjacent == reference_has_adjacent_delays(g), g.nodes
+        shapes.add((_has_delay_loop(g), sum(node.kind == D for node in g.nodes) > 1, adjacent))
+    assert len(shapes) == 8
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=4))

@@ -6,7 +6,9 @@ and Hopcroft refinement are near linear.  Also for implementation search on
 ``a ? b.S : c.S``, where index-order enumeration spends most of its time
 on the options of slots that a jump flies over, and for functional
 extraction of many jumps that land on one long jump chain, where a chase
-that re-walks the chain from every jump is quadratic."""
+that re-walks the chain from every jump is quadratic; and for the delay
+resolution of ``#1ⁿ;a;(#1)^w``, a long delay chain in front of a delay
+loop, where a resolution that chases from every node is quadratic."""
 
 import time
 
@@ -14,9 +16,12 @@ from pga_mech import (
     ComparisonVerdict,
     SearchBounds,
     bisimilar,
+    collapse_divergence,
     compare,
     extract_functional,
     extract_mechanistic,
+    functional_abstraction,
+    has_adjacent_delays,
     improves,
     make_post,
     make_prefix,
@@ -85,3 +90,13 @@ def test_converging_jump_chains_extract_functional_at_4000():
     blocks = [f"+a;#{2 * n - 2 * i - 1}" for i in range(n)]
     seq = parse_pga(";".join(blocks + ["#1"] * n + ["b", "!"]))
     assert len(_timed(extract_functional, seq)) == n + 2
+
+
+def test_delay_chain_into_delay_loop_resolves_at_4000():
+    n = 4000
+    slow = extract_mechanistic(parse_pga(";".join(["#1"] * n + ["a", "(#1)^w"])))
+    fast = extract_mechanistic(parse_pga(";".join(["#1"] * (n - 1) + ["a", "(#1)^w"])))
+    assert _timed(compare, slow, fast) is ComparisonVerdict.STRICTLY_IMPROVED_BY
+    assert len(_timed(functional_abstraction, slow)) == 2
+    assert len(_timed(collapse_divergence, slow)) == n + 2
+    assert _timed(has_adjacent_delays, slow) is True
