@@ -20,7 +20,7 @@ from .instructions import (
     _chase,
     _slot,
 )
-from .threads import D, DELAY, POST, S, Node, ThreadGraph
+from .threads import _D_NODE, _S_NODE, DELAY, POST, Node, ThreadGraph, _new
 
 __all__ = ["extract_functional", "extract_mechanistic"]
 
@@ -38,19 +38,23 @@ def extract_mechanistic(seq: InstrSeq) -> ThreadGraph:
 def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
     code = seq.prefix + (seq.cycle or ())
     n, m = seq.prefix_len, seq.cycle_len
-    nodes: list[list] = []  # [kind, action, succ_a, succ_b], filled in later
+    # ids are handed out in the order of the graph constructor's
+    # breadth-first renumbering: the root first, then the new successors of
+    # each post or delay node in id order, as ``fill`` is worked off first
+    # in, first out; so the graph is built once and never renumbered
+    nodes: list = []  # post and delay nodes are None until filled
     memo: dict[int, int] = {}
-    fill: list[tuple[int, int]] = []
+    fill: list[tuple[int, int]] = []  # (position, id) of post and delay nodes
     d_id = -1
 
-    def alloc(kind: str, action: str | None = None) -> int:
-        nodes.append([kind, action, None, None])
+    def alloc(node) -> int:
+        nodes.append(node)
         return len(nodes) - 1
 
     def shared_d() -> int:
         nonlocal d_id
         if d_id < 0:
-            d_id = alloc(D)
+            d_id = alloc(_D_NODE)
         return d_id
 
     def node_at(p: int) -> int:
@@ -61,14 +65,14 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
             return memo[p]
         ins = code[p]
         if ins.kind == TERMINATION:
-            nid = alloc(S)
+            nid = alloc(_S_NODE)
         elif ins.kind != JUMP:
-            nid = alloc(POST, ins.action)
+            nid = alloc(None)
             fill.append((p, nid))
         elif ins.counter == 0:
             nid = shared_d()
         elif with_delays:
-            nid = alloc(DELAY)
+            nid = alloc(None)
             fill.append((p, nid))
         else:
             # transparent jump: every jump of the chain shares the node it
@@ -83,23 +87,12 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
         memo[p] = nid
         return nid
 
-    root = node_at(0)
-    while fill:
-        p, nid = fill.pop()
+    node_at(0)
+    for p, nid in fill:  # also visits the entries node_at appends meanwhile
         ins = code[p]
         if ins.kind == JUMP:  # delay for a jump
-            nodes[nid][2] = node_at(p + ins.counter)
+            nodes[nid] = _new(Node, (DELAY, None, node_at(p + ins.counter), None, None))
         else:
             t, f = _branches(p, ins)
-            nodes[nid][2] = node_at(t)
-            nodes[nid][3] = node_at(f)
-
-    built = []
-    for kind, action, a, b in nodes:
-        if kind == POST:
-            built.append(Node(POST, action=action, true=a, false=b))
-        elif kind == DELAY:
-            built.append(Node(DELAY, next=a))
-        else:
-            built.append(Node(kind))
-    return ThreadGraph(built, root)
+            nodes[nid] = _new(Node, (POST, ins.action, None, node_at(t), node_at(f)))
+    return ThreadGraph._canonical(nodes)

@@ -44,7 +44,8 @@ NEG_TEST = "neg-test"
 TERMINATION = "termination"
 JUMP = "jump"
 
-_ACTION_RE = re.compile(r"[a-z][A-Za-z0-9_.]*\Z")
+_NAME = r"[a-z][A-Za-z0-9_.]*"  # an action name; ASCII only
+_ACTION_RE = re.compile(_NAME + r"\Z")
 
 
 class PgaSyntaxError(ValueError):
@@ -157,65 +158,45 @@ class InstrSeq:
 
 # --- text syntax -----------------------------------------------------------
 
-def _tokenize(text: str) -> list[tuple[str, str | int, int, int]]:
-    tokens: list[tuple[str, str | int, int, int]] = []
-    line, col = 1, 1
-    i = 0
+# one group per token kind, named by ``_TOKEN_KINDS`` (group 1 is
+# whitespace, and a punctuation token is its own kind); the digit and name
+# classes are ASCII, so a digit or letter from another script is an error
+_TOKEN_RE = re.compile(rf"(\s+)|([;()^!])|(ω)|#([0-9]+)|\+({_NAME})|-({_NAME})|({_NAME})")
+_TOKEN_KINDS = (None, None, None, "omega", "jump", "pos", "neg", "ident")
+
+
+def _located(text: str, message: str, offset: int) -> PgaSyntaxError:
+    """The error ``message`` at line and column of ``offset`` in ``text``."""
+    line = text.count("\n", 0, offset) + 1
+    return PgaSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, offset)`` per token; the value of a jump is its
+    digits."""
+    tokens: list[tuple[str, str, int]] = []
+    match = _TOKEN_RE.match
+    pos = 0
     length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch in ";()^!":
-            tokens.append((ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "ω":  # ω, synonym for the repetition marker w
-            tokens.append(("omega", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < length and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PgaSyntaxError("expected digits after '#'", line, start_col)
-            tokens.append(("jump", int(text[i + 1:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-":
-            j = i + 1
-            if j >= length or not text[j].islower():
-                raise PgaSyntaxError(f"expected action name after {ch!r}", line, start_col)
-            k = j + 1
-            while k < length and (text[k].isalnum() or text[k] in "_."):
-                k += 1
-            kind = "pos" if ch == "+" else "neg"
-            tokens.append((kind, text[j:k], line, start_col))
-            col += k - i
-            i = k
-            continue
-        if ch.islower():
-            k = i + 1
-            while k < length and (text[k].isalnum() or text[k] in "_."):
-                k += 1
-            tokens.append(("ident", text[i:k], line, start_col))
-            col += k - i
-            i = k
-            continue
-        raise PgaSyntaxError(f"unexpected character {ch!r}", line, start_col)
+    while pos < length:
+        m = match(text, pos)
+        if m is None:
+            ch = text[pos]
+            if ch == "#":
+                raise _located(text, "expected digits after '#'", pos)
+            if ch in "+-":
+                raise _located(text, f"expected action name after {ch!r}", pos)
+            raise _located(text, f"unexpected character {ch!r}", pos)
+        group = m.lastindex
+        if group != 1:
+            value = m[group]
+            tokens.append((_TOKEN_KINDS[group] or value, value, pos))
+        pos = m.end()
     return tokens
+
+
+_BUILD = {"jump": lambda digits: jump(int(digits)), "pos": pos_test, "neg": neg_test,
+          "ident": basic}
 
 
 def parse_pga(text: str) -> InstrSeq:
@@ -228,80 +209,56 @@ def parse_pga(text: str) -> InstrSeq:
     tokens = _tokenize(text)
     if not tokens:
         raise PgaSyntaxError("empty instruction sequence")
+    last = len(tokens) - 1
+    tokens.append(("end", "", tokens[-1][2]))  # sentinel, located at the last token
+    built = {("!", "!"): TERMINATE}  # one instance per spelling
     pos = 0
 
-    def peek() -> tuple[str, str | int, int, int] | None:
-        return tokens[pos] if pos < len(tokens) else None
-
     def error(message: str) -> PgaSyntaxError:
-        if pos < len(tokens):
-            _, _, line, col = tokens[pos]
-            return PgaSyntaxError(message, line, col)
-        _, _, line, col = tokens[-1]
-        return PgaSyntaxError(message + " (at end of input)", line, col)
+        if pos > last:
+            message += " (at end of input)"
+        return _located(text, message, tokens[pos][2])
 
-    def parse_instruction() -> Instruction:
+    def instruction() -> Instruction:
         nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise error("expected instruction")
-        kind, value, line, col = tok
+        kind, value, _ = tokens[pos]
+        ins = built.get((kind, value))
+        if ins is None:
+            if kind not in _BUILD:
+                raise error("expected instruction")
+            ins = built[kind, value] = _BUILD[kind](value)
         pos += 1
-        if kind == "!":
-            return TERMINATE
-        if kind == "jump":
-            return jump(value)
-        if kind == "pos":
-            return pos_test(value)
-        if kind == "neg":
-            return neg_test(value)
-        if kind == "ident":
-            return basic(value)
-        pos -= 1
-        raise error("expected instruction")
+        return ins
 
-    def parse_repetition() -> tuple[Instruction, ...]:
+    def expect(kind: str, message: str) -> None:
         nonlocal pos
-        pos += 1  # consume '('
-        body = [parse_instruction()]
-        while peek() is not None and peek()[0] == ";":
-            pos += 1
-            body.append(parse_instruction())
-        if peek() is None or peek()[0] != ")":
-            raise error("expected ')'")
+        if tokens[pos][0] != kind:
+            raise error(message)
         pos += 1
-        if peek() is None or peek()[0] != "^":
-            raise error("expected '^' after ')'")
-        pos += 1
-        tok = peek()
-        if tok is None or not (tok[0] == "omega" or (tok[0] == "ident" and tok[1] == "w")):
-            raise error("expected 'w' after '^'")
-        pos += 1
-        return tuple(body)
 
     prefix: list[Instruction] = []
-    cycle: tuple[Instruction, ...] | None = None
-    while True:
-        tok = peek()
-        if tok is None:
-            raise error("expected instruction")
-        if cycle is not None:
-            raise error("instructions after repetition")
-        if tok[0] == "(":
-            cycle = parse_repetition()
-        else:
-            prefix.append(parse_instruction())
-        tok = peek()
-        if tok is None:
-            break
-        if tok[0] != ";":
-            if cycle is not None:
-                raise error("instructions after repetition")
-            raise error("expected ';'")
+    while tokens[pos][0] != "(":
+        prefix.append(instruction())
+        if tokens[pos][0] == "end":
+            return InstrSeq(tuple(prefix))
+        expect(";", "expected ';'")
+    pos += 1
+    cycle = [instruction()]
+    while tokens[pos][0] == ";":
         pos += 1
-        if cycle is not None:
-            raise error("instructions after repetition")
-    return InstrSeq(tuple(prefix), cycle)
+        cycle.append(instruction())
+    expect(")", "expected ')'")
+    expect("^", "expected '^' after ')'")
+    kind, value, _ = tokens[pos]
+    if kind != "omega" and (kind, value) != ("ident", "w"):
+        raise error("expected 'w' after '^'")
+    pos += 1
+    if tokens[pos][0] == ";":
+        pos += 1  # located at what follows the ';', or at the end
+        raise error("instructions after repetition")
+    if tokens[pos][0] != "end":
+        raise error("instructions after repetition")
+    return InstrSeq(tuple(prefix), tuple(cycle))
 
 
 def print_pga(seq: InstrSeq) -> str:

@@ -389,7 +389,7 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
         for p in _expansion_sites(base):
             action = instruction_at(base, p).action
             for t in _test_positions(base, action):
-                for r in (1, 2, 3, 4):
+                for r in range(1, base.total_len + 1):
                     try:
                         candidate = expand_test_chain(base, p, r, t)
                     except RewriteError:

@@ -4,16 +4,20 @@ and branch-on-action nodes.
 A graph denotes a (possibly infinite-unfolding) regular behavior.  Node
 kinds: ``S`` successful termination, ``D`` deadlock, ``delay`` one unit of
 unobservable processing before its successor, ``post`` perform an action
-and branch on the Boolean reply.  Graphs are immutable; the constructor
-garbage-collects unreachable nodes and renumbers breadth-first from the
-root, so structurally equal graphs compare equal.
+and branch on the Boolean reply.  A ``Node`` is a tuple of its five fields
+(and compares equal to that plain tuple); its constructor validates the
+kind, the action name and the successor fields.  Graphs are immutable; the
+constructor garbage-collects unreachable nodes and renumbers breadth-first
+from the root, so structurally equal graphs compare equal.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+
+from .instructions import _ACTION_RE
 
 __all__ = [
     "S",
@@ -47,16 +51,32 @@ POST = "post"
 _RESERVED_NAMES = {"S", "D", "sigma"}
 
 
-@dataclass(frozen=True)
-class Node:
+def _is_id(s) -> bool:
+    return isinstance(s, int) and s >= 0
+
+
+class Node(namedtuple("Node", "kind action next true false", defaults=(None,) * 4)):
     """One graph node.  ``next`` is the delay successor; ``true``/``false``
     are the branch successors of a post node."""
 
-    kind: str
-    action: str | None = None
-    next: int | None = None
-    true: int | None = None
-    false: int | None = None
+    __slots__ = ()
+
+    def __new__(cls, kind: str, action: str | None = None, next: int | None = None,
+                true: int | None = None, false: int | None = None):
+        if kind == POST:
+            if not isinstance(action, str) or not _ACTION_RE.match(action):
+                raise ValueError(f"invalid action name {action!r}")
+            if next is not None or not (_is_id(true) and _is_id(false)):
+                raise ValueError("a post node has a true and a false successor, no next")
+        elif kind == DELAY:
+            if action is not None or true is not None or false is not None or not _is_id(next):
+                raise ValueError("a delay node has a next successor and nothing else")
+        elif kind in (S, D):
+            if action is not None or next is not None or true is not None or false is not None:
+                raise ValueError(f"{kind} nodes carry no payload")
+        else:
+            raise ValueError(f"unknown node kind {kind!r}")
+        return tuple.__new__(cls, (kind, action, next, true, false))
 
     def successors(self) -> tuple[int, ...]:
         if self.kind == DELAY:
@@ -64,6 +84,13 @@ class Node:
         if self.kind == POST:
             return (self.true, self.false)
         return ()
+
+
+# library internals build nodes unchecked: ``_new(Node, (kind, action,
+# next, true, false))``
+_new = tuple.__new__
+_S_NODE = Node(S)
+_D_NODE = Node(D)
 
 
 class ThreadGraph:
@@ -75,21 +102,30 @@ class ThreadGraph:
         nodes = list(nodes)
         if not 0 <= root < len(nodes):
             raise ValueError("root is not a node")
-        for node in nodes:
-            for s in node.successors():
+        succ = [node.successors() for node in nodes]
+        for targets in succ:
+            for s in targets:
                 if s is None or not 0 <= s < len(nodes):
                     raise ValueError("edge target is not a node")
         order = [root]
         index = {root: 0}
-        qi = 0
-        while qi < len(order):
-            for s in nodes[order[qi]].successors():
+        for old in order:  # the loop also visits the ids appended here
+            for s in succ[old]:
                 if s not in index:
                     index[s] = len(order)
                     order.append(s)
-            qi += 1
         self.nodes: tuple[Node, ...] = tuple(_relabel(nodes[old], index) for old in order)
         self.root: int = 0
+
+    @classmethod
+    def _canonical(cls, nodes) -> ThreadGraph:
+        """The graph of ``nodes`` as they stand: they must already be
+        numbered breadth-first from root 0, as the constructor would number
+        them, with every edge in range.  Nothing is checked or renumbered."""
+        g = object.__new__(cls)
+        g.nodes = tuple(nodes)
+        g.root = 0
+        return g
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -110,21 +146,22 @@ class ThreadGraph:
 def _relabel(node: Node, new_id) -> Node:
     """``node`` with each successor ``i`` renamed ``new_id[i]``; ``new_id``
     is any table indexed by node id (a list, a dict or a range)."""
-    if node.kind == DELAY:
-        return Node(DELAY, next=new_id[node.next])
-    if node.kind == POST:
-        return Node(POST, action=node.action, true=new_id[node.true], false=new_id[node.false])
-    return Node(node.kind)
+    kind = node.kind
+    if kind == POST:
+        return _new(Node, (POST, node.action, None, new_id[node.true], new_id[node.false]))
+    if kind == DELAY:
+        return _new(Node, (DELAY, None, new_id[node.next], None, None))
+    return node
 
 
 # --- small constructors ----------------------------------------------------
 
 def make_s() -> ThreadGraph:
-    return ThreadGraph([Node(S)], 0)
+    return ThreadGraph._canonical([_S_NODE])
 
 
 def make_d() -> ThreadGraph:
-    return ThreadGraph([Node(D)], 0)
+    return ThreadGraph._canonical([_D_NODE])
 
 
 def _shifted(g: ThreadGraph, shift: int) -> list[Node]:
@@ -137,8 +174,9 @@ def make_delay(inner: ThreadGraph, count: int = 1) -> ThreadGraph:
     """Prepend ``count`` delay nodes to the root of ``inner``."""
     if count < 0:
         raise ValueError("delay count must be nonnegative")
-    nodes = [Node(DELAY, next=i + 1) for i in range(count)]
-    return ThreadGraph(nodes + _shifted(inner, count), 0 if count else inner.root)
+    # a chain in front of a breadth-first graph keeps it breadth-first
+    nodes = [_new(Node, (DELAY, None, i + 1, None, None)) for i in range(count)]
+    return ThreadGraph._canonical(nodes + _shifted(inner, count))
 
 
 def make_post(action: str, on_true: ThreadGraph, on_false: ThreadGraph) -> ThreadGraph:
@@ -151,8 +189,8 @@ def make_post(action: str, on_true: ThreadGraph, on_false: ThreadGraph) -> Threa
 def make_prefix(action: str, inner: ThreadGraph) -> ThreadGraph:
     """Action prefixing: perform ``action``, then continue as ``inner``
     regardless of the reply (both branches share one node)."""
-    root = Node(POST, action=action, true=inner.root + 1, false=inner.root + 1)
-    return ThreadGraph([root] + _shifted(inner, 1), 0)
+    root = Node(POST, action=action, true=1, false=1)
+    return ThreadGraph._canonical([root] + _shifted(inner, 1))
 
 
 # --- bisimulation and minimization -----------------------------------------
@@ -310,7 +348,7 @@ def _delay_resolution(g: ThreadGraph) -> tuple[tuple[Node, ...], list[tuple[int,
                 count += 1
                 out[j] = (count, core)
     out.append((0, d_id))
-    return nodes + (Node(D),), out
+    return nodes + (_D_NODE,), out
 
 
 def collapse_divergence(g: ThreadGraph) -> ThreadGraph:

@@ -27,6 +27,15 @@ def test_extract_parse_error_exit_2():
     assert result.stdout == ""
 
 
+def test_extract_non_ascii_exit_2():
+    for text, column in (("aω;!", 2), ("+é;!", 1), ("#²;!", 1), ("a;#١;!", 3)):
+        result = run("extract", "--mechanistic", "--pga", text)
+        assert result.exit_code == 2, text
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.endswith(f" at line 1, column {column}\n"), result.stderr
+
+
 def test_extract_requires_mode_and_source():
     assert run("extract", "--pga", "a;!").exit_code == 2
     assert run("extract", "--functional").exit_code == 2
@@ -115,6 +124,11 @@ def test_rewrite_improve_trace():
     assert lines[0] == "(+a;#10;-b;!;-b;!;-b;!;+b;#4;!)^w"
     assert len(lines) == 3
     assert all("improves" in line for line in lines[1:])
+    # each further member of the chain needs a longer expansion
+    result = run("rewrite", "improve", "--steps", "6",
+                 "--pga", "(+a;#4;+b;#4;!)^w", "--trace")
+    assert result.exit_code == 0
+    assert result.stdout.count(": improves\n") == 6
 
 
 def test_rewrite_improve_nothing_found():

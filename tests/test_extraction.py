@@ -22,7 +22,7 @@ from pga_mech import (
     parse_thread,
     pos_test,
 )
-from pga_mech.threads import DELAY
+from pga_mech.threads import DELAY, ThreadGraph
 
 from helpers import random_seq, run_graph, run_sequence
 
@@ -66,13 +66,30 @@ def test_test_at_end_branches_to_deadlock():
     assert bisimilar(g, make_post("a", make_d(), make_d()))
 
 
+def _dense_seq(rng: random.Random, n: int, m: int):
+    """Actions and short jumps and no termination, so nearly every position
+    is reached."""
+    def instr():
+        if rng.random() < 0.2:
+            return jump(rng.randint(1, 3))
+        return rng.choice((basic, pos_test, neg_test))(rng.choice("abc"))
+
+    return InstrSeq(tuple(instr() for _ in range(n)), tuple(instr() for _ in range(m)))
+
+
 def test_node_count_bound():
+    # extraction numbers its nodes as the constructor would, which lets it
+    # skip the constructor's renumbering
     rng = random.Random(11)
-    for _ in range(300):
-        s = random_seq(rng)
+    dense = _dense_seq(rng, 1000, 9000)
+    assert len(extract_mechanistic(dense)) > 9000
+    seqs = [random_seq(rng, *sizes) for sizes in ((8, 6), (3, 3), (0, 12), (40, 30))
+            for _ in range(100)]
+    for s in seqs + [dense]:
         for extractor in (extract_functional, extract_mechanistic):
             g = extractor(s)
             assert len(g) <= s.total_len + 2
+            assert ThreadGraph(g.nodes, g.root).nodes == g.nodes, s
 
 
 def test_functional_is_abstraction_of_mechanistic():

@@ -80,6 +80,15 @@ def test_parse_error_location():
         pytest.fail("expected a syntax error")
 
 
+@pytest.mark.parametrize("text, column", [("aω;!", 2), ("+é;!", 1), ("#²;!", 1), ("a;#١;!", 3)])
+def test_non_ascii_letters_and_digits_are_located_errors(text, column):
+    # names and counters are ASCII: a letter or digit of another script is
+    # neither read as one nor left to fail later without a location
+    with pytest.raises(PgaSyntaxError) as exc:
+        parse_pga(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
 def test_empty_sequence_is_not_a_value():
     with pytest.raises(ValueError):
         InstrSeq(())

@@ -250,21 +250,16 @@ def test_expand_test_chain_errors():
 
 def test_improve_step_chain():
     x, y, z = chain_witnesses()
-    first = improve_step(x)
-    assert first is not None
-    x1, step1 = first
-    assert x1 == y
-    assert step1.evidence is ComparisonVerdict.STRICTLY_IMPROVES
-    second = improve_step(x1)
-    assert second is not None
-    x2, step2 = second
-    assert x2 == z
-    third = improve_step(x2)
-    assert third is not None
-    x3, step3 = third
-    assert strictly_improves(extract_mechanistic(x3), extract_mechanistic(x2))
-    for g in (x1, x2, x3):
-        assert functionally_equivalent(extract_mechanistic(g), extract_mechanistic(x))
+    chain = [x]
+    for _ in range(6):  # step k expands by 2**(k - 1) more copies of -b;!
+        found = improve_step(chain[-1])
+        assert found is not None, len(chain)
+        nxt, step = found
+        assert step.evidence is ComparisonVerdict.STRICTLY_IMPROVES
+        assert strictly_improves(extract_mechanistic(nxt), extract_mechanistic(chain[-1]))
+        assert functionally_equivalent(extract_mechanistic(nxt), extract_mechanistic(x))
+        chain.append(nxt)
+    assert chain[1:3] == [y, z]
 
 
 def test_improve_step_none_for_pre_extraction():

@@ -22,7 +22,7 @@ from pga_mech import (
     to_dot,
     to_json,
 )
-from pga_mech.threads import DELAY, Node, POST, S, ThreadGraph
+from pga_mech.threads import D, DELAY, Node, POST, S, ThreadGraph
 
 from helpers import random_graph
 
@@ -32,6 +32,24 @@ def test_constructor_garbage_collects():
     g = ThreadGraph(nodes, 2)
     assert len(g) == 2  # the unreferenced S node is dropped
     assert g.root == 0
+
+
+def test_node_constructor_validates():
+    bad = [
+        lambda: Node("loop"),  # unknown kind
+        lambda: Node(POST, action="A", true=0, false=0),  # not an action name
+        lambda: Node(POST, action="a"),  # post node without successors
+        lambda: Node(DELAY),  # delay node without next
+        lambda: Node(S, action="a"),  # termination with a payload
+        lambda: Node(D, next=0),
+        lambda: Node(DELAY, next=-1),
+    ]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
+    # a node is the tuple of its fields
+    assert Node(S) == ("S", None, None, None, None)
+    assert Node(POST, action="a", true=1, false=2).successors() == (1, 2)
 
 
 def test_parse_thread_shapes():
