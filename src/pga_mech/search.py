@@ -1,17 +1,23 @@
 """Bounded implementation search.
 
 ``search_implementations`` lists every instruction sequence within given
-bounds that a behavior implements; ``pareto_front`` keeps the results that
-no other result strictly improves.  The search walks the delay-free target
+bounds that a behavior implements.  The search walks the delay-free target
 along each partial sequence and assigns a slot only when the walk reaches
 it, so slots that no run executes are enumerated only when results are
 emitted, under an explicit budget.
+
+``pareto_front`` keeps the results whose mechanistic behavior no other
+result strictly improves.  It costs one extraction per result plus one
+comparison per pair of distinct behaviors.  Known limitation: two results
+that improve each other without being bisimilar drop each other, so the
+front can come out empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 from .extraction import extract_mechanistic
 from .instructions import (
@@ -28,7 +34,7 @@ from .instructions import (
     neg_test,
     pos_test,
 )
-from .ordering import improves, strictly_improves
+from .ordering import ComparisonVerdict, compare, improves
 from .threads import D, DELAY, POST, S, ThreadGraph, functional_abstraction
 
 __all__ = [
@@ -62,16 +68,14 @@ class SearchBounds:
             raise ValueError("alphabet must be nonempty")
 
 
-def _slot_options(total: int, alphabet: tuple[str, ...]) -> list[Instruction]:
+@cache
+def _slot_options(total: int, alphabet: tuple[str, ...]) -> tuple[Instruction, ...]:
     # jump counters above the total length only duplicate smaller ones
     # (falling off the end / wrapping the cycle), so the universe is
     # complete with counters up to the candidate's length
-    out: list[Instruction] = [basic(a) for a in alphabet]
-    out.extend(pos_test(a) for a in alphabet)
-    out.extend(neg_test(a) for a in alphabet)
-    out.append(TERMINATE)
-    out.extend(jump(k) for k in range(total + 1))
-    return out
+    return (*(basic(a) for a in alphabet), *(pos_test(a) for a in alphabet),
+            *(neg_test(a) for a in alphabet), TERMINATE,
+            *(jump(k) for k in range(total + 1)))
 
 
 def _fits(ins: Instruction, node) -> bool:
@@ -233,8 +237,32 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds,
     return found
 
 
+# verdicts of ``compare(g, h)`` under which the front drops ``h`` (``g``):
+# each side strictly improves the other under MUTUALLY_EQUIVALENT
+_DROPS_RIGHT = frozenset({ComparisonVerdict.STRICTLY_IMPROVES,
+                          ComparisonVerdict.MUTUALLY_EQUIVALENT})
+_DROPS_LEFT = frozenset({ComparisonVerdict.STRICTLY_IMPROVED_BY,
+                         ComparisonVerdict.MUTUALLY_EQUIVALENT})
+
+
 def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
-    """Members not strictly improved by any other member."""
+    """The members whose mechanistic behavior no other member strictly
+    improves, in input order with repeats kept.
+
+    Each member is extracted once and the members are grouped by graph.
+    Extraction numbers nodes breadth-first and graphs compare on their
+    nodes, so equal graphs are bisimilar and never strictly improve each
+    other; the cost is one extraction per member plus one ``compare`` per
+    pair of distinct graphs.  Known limitation: two members that improve
+    each other without being bisimilar drop each other, so the front can
+    come out empty.
+    """
     graphs = [extract_mechanistic(s) for s in seqs]
-    return [s for i, s in enumerate(seqs)
-            if not any(strictly_improves(h, graphs[i]) for j, h in enumerate(graphs) if j != i)]
+    dropped: set[ThreadGraph] = set()
+    for g, h in combinations(dict.fromkeys(graphs), 2):
+        verdict = compare(g, h)
+        if verdict in _DROPS_RIGHT:
+            dropped.add(h)
+        if verdict in _DROPS_LEFT:
+            dropped.add(g)
+    return [s for s, g in zip(seqs, graphs) if g not in dropped]

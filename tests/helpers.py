@@ -2,8 +2,8 @@
 co-simulation, the brute-force rule-closure oracle for the improvement
 preorder on finite thread terms, and the slow reference algorithms (Moore
 refinement, the liveness-based divergence collapse, the greatest-fixpoint
-preorder and the index-order implementation search) that the library is
-checked against."""
+preorder, the index-order implementation search and the all-pairs Pareto
+front) that the library is checked against."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from pga_mech import (
     neg_test,
     parse_pga,
     pos_test,
+    strictly_improves,
     TERMINATE,
 )
 from pga_mech.instructions import (
@@ -639,3 +640,13 @@ def reference_search_implementations(p: ThreadGraph, bounds: SearchBounds) -> li
 
             assign(0)
     return found
+
+
+# --- reference Pareto front ---------------------------------------------------
+
+def reference_pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
+    """The members no other member strictly improves, by definition: one
+    ``strictly_improves`` per ordered pair of members."""
+    graphs = [extract_mechanistic(s) for s in seqs]
+    return [s for i, s in enumerate(seqs)
+            if not any(strictly_improves(h, graphs[i]) for j, h in enumerate(graphs) if j != i)]

@@ -190,6 +190,19 @@ def test_search_pareto(tmp_path):
     assert sorted(lines) == ["+a;#3;c;!;b;!", "-a;#3;b;!;c;!"]
 
 
+def test_search_pareto_loose_target(tmp_path):
+    # 15,731 results, 5 behaviors: the front is every result that
+    # terminates at once
+    path = tmp_path / "p.thread"
+    path.write_text("P = S\n")
+    result = run("search", "--thread-file", str(path), "--max-prefix", "5",
+                 "--max-cycle", "0", "--alphabet", "a", "--pareto")
+    assert result.exit_code == 0
+    lines = result.stdout.split("\n")[:-1]
+    assert len(lines) == 10801
+    assert lines[0] == "!"
+
+
 def test_search_budget_exit_2(tmp_path):
     path = tmp_path / "p.thread"
     path.write_text("P = S\n")

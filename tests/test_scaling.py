@@ -4,11 +4,13 @@ chains ``#1ⁿ;a;!`` against ``#1ⁿ⁻¹;a;!`` and the delayed loop
 the first and the fixpoint preorder cubic on the second; the product walks
 and Hopcroft refinement are near linear.  Also for implementation search on
 ``a ? b.S : c.S``, where index-order enumeration spends most of its time
-on the options of slots that a jump flies over, and for functional
-extraction of many jumps that land on one long jump chain, where a chase
-that re-walks the chain from every jump is quadratic; and for the delay
-resolution of ``#1ⁿ;a;(#1)^w``, a long delay chain in front of a delay
-loop, where a resolution that chases from every node is quadratic."""
+on the options of slots that a jump flies over; for the Pareto front of
+the 15,731 results of ``P = S`` at (5,0), which are 5 behaviors, where a
+walk per pair of results takes minutes; for functional extraction of many
+jumps that land on one long jump chain, where a chase that re-walks the
+chain from every jump is quadratic; and for the delay resolution of
+``#1ⁿ;a;(#1)^w``, a long delay chain in front of a delay loop, where a
+resolution that chases from every node is quadratic."""
 
 import time
 
@@ -27,7 +29,9 @@ from pga_mech import (
     make_prefix,
     make_s,
     minimize,
+    pareto_front,
     parse_pga,
+    parse_thread,
     search_implementations,
 )
 
@@ -82,6 +86,17 @@ def test_search_branching_target_at_6_and_7():
     at7 = _timed(search_implementations, target, SearchBounds(7, 0, ("a", "b", "c")), budget=5.0)
     assert len(at7) == 224
     assert at7[:len(at6)] == at6
+
+
+def test_pareto_front_of_loose_target_at_5():
+    # every filling after the first ``!`` is a result; the front keeps the
+    # results whose behavior is S itself
+    results = search_implementations(parse_thread("P = S"), SearchBounds(5, 0, ("a",)))
+    assert len(results) == 15731
+    front = _timed(pareto_front, results, budget=2.0)
+    expected = [s for s in results if extract_mechanistic(s) == make_s()]
+    assert len(expected) == 10801
+    assert front == expected
 
 
 def test_converging_jump_chains_extract_functional_at_4000():
