@@ -7,11 +7,12 @@ Exit codes: 0 success / relation holds, 1 relation does not hold,
 from __future__ import annotations
 
 import sys
+from typing import NoReturn
 
 import click
 
 from .extraction import extract_functional, extract_mechanistic
-from .instructions import InstrSeq, PgaSyntaxError, parse_pga, print_pga
+from .instructions import PgaSyntaxError, parse_pga, print_pga
 from .ordering import (
     _IMPROVING,
     compare,
@@ -48,32 +49,20 @@ from .threads import (
 )
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
-def _load_pga(text: str) -> InstrSeq:
-    try:
-        return parse_pga(text)
-    except PgaSyntaxError as exc:
-        _fail(2, str(exc))
-
-
-def _load_thread_text(text: str) -> ThreadGraph:
-    try:
-        return parse_thread(text)
-    except ThreadSyntaxError as exc:
-        _fail(2, str(exc))
-
-
-def _load_thread_file(path: str) -> ThreadGraph:
+def _read(path: str) -> str:
+    """The UTF-8 text of the file at ``path``; an unreadable file exits 2."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         _fail(2, str(exc))
-    return _load_thread_text(text)
+    except UnicodeDecodeError as exc:
+        _fail(2, f"{path!r} is not UTF-8: {exc.reason} at offset {exc.start}")
 
 
 def _render(graph: ThreadGraph, fmt: str) -> str:
@@ -84,7 +73,20 @@ def _render(graph: ThreadGraph, fmt: str) -> str:
     return print_thread(graph)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; it maps the library's input errors to exit 2
+    and a failed rewrite verification to exit 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (PgaSyntaxError, ThreadSyntaxError, RewriteError) as exc:
+            _fail(2, str(exc))
+        except RewriteVerificationError as exc:
+            _fail(3, str(exc))
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Analyze, compare and rewrite single-pass instruction sequences."""
 
@@ -102,13 +104,7 @@ def cmd_extract(mode, pga_text, path, fmt, do_minimize) -> None:
         _fail(2, "one of --functional/--mechanistic is required")
     if (pga_text is None) == (path is None):
         _fail(2, "exactly one of --pga/--file is required")
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                pga_text = handle.read()
-        except OSError as exc:
-            _fail(2, str(exc))
-    seq = _load_pga(pga_text)
+    seq = parse_pga(pga_text if path is None else _read(path))
     graph = extract_functional(seq) if mode == "functional" else extract_mechanistic(seq)
     if do_minimize:
         graph = minimize_graph(graph)
@@ -127,8 +123,8 @@ def cmd_compare(pga_texts, thread_texts, functional) -> None:
     """
     if len(pga_texts) + len(thread_texts) != 2:
         _fail(2, "exactly two inputs are required (--pga/--thread)")
-    graphs = [extract_mechanistic(_load_pga(text)) for text in pga_texts]
-    graphs.extend(_load_thread_text(text) for text in thread_texts)
+    graphs = [extract_mechanistic(parse_pga(text)) for text in pga_texts]
+    graphs.extend(parse_thread(text) for text in thread_texts)
     if functional:
         graphs = [functional_abstraction(g) for g in graphs]
     verdict = compare(graphs[0], graphs[1])
@@ -142,8 +138,8 @@ def cmd_compare(pga_texts, thread_texts, functional) -> None:
 @click.option("--thread-file", "thread_path", required=True, type=click.Path())
 def cmd_check(relation, pga_text, thread_path) -> None:
     """Check whether a sequence implements / pre-extracts a thread."""
-    seq = _load_pga(pga_text)
-    graph = _load_thread_file(thread_path)
+    seq = parse_pga(pga_text)
+    graph = parse_thread(_read(thread_path))
     held = (is_implementation(seq, graph) if relation == "implements"
             else is_pre_extraction(seq, graph))
     click.echo("yes" if held else "no")
@@ -158,34 +154,27 @@ def cmd_check(relation, pga_text, thread_path) -> None:
 @click.option("--trace", "trace", is_flag=True)
 def cmd_rewrite(operation, pga_text, steps, trace) -> None:
     """Apply a rewrite and print the result."""
-    seq = _load_pga(pga_text)
+    seq = parse_pga(pga_text)
     applied = []
-    try:
-        if operation == "unchain":
-            seq, applied = unchain(seq)
-        elif operation == "no-jump-to-term":
-            seq, applied = eliminate_jump_to_termination(seq)
-        elif operation == "unroll":
-            try:
-                seq = unroll(seq)
-            except RewriteError as exc:
-                _fail(2, str(exc))
-        else:
-            for _ in range(steps):
-                step = improve_step(seq)
-                if step is None:
-                    break
-                seq, record = step
-                applied.append(record)
-    except RewriteVerificationError as exc:
-        _fail(3, str(exc))
+    if operation == "unchain":
+        seq, applied = unchain(seq)
+    elif operation == "no-jump-to-term":
+        seq, applied = eliminate_jump_to_termination(seq)
+    elif operation == "unroll":
+        seq = unroll(seq)
+    else:
+        for _ in range(steps):
+            step = improve_step(seq)
+            if step is None:
+                break
+            seq, record = step
+            applied.append(record)
     click.echo(print_pga(seq))
     if operation == "improve" and not applied:
         click.echo("no improvement found")
     if trace:
         for record in applied:
             click.echo(f"{record.rule} @{record.site}: {record.evidence.value}")
-    sys.exit(0)
 
 
 @main.command("codegen")
@@ -194,20 +183,16 @@ def cmd_rewrite(operation, pga_text, steps, trace) -> None:
               help="Erase delays from the input thread first.")
 def cmd_codegen(thread_path, apply_fa) -> None:
     """Emit a sequence whose functional behavior is the given thread."""
-    graph = _load_thread_file(thread_path)
+    graph = parse_thread(_read(thread_path))
     if any(node.kind == DELAY for node in graph.nodes):
         if not apply_fa:
             _fail(2, "thread contains delays; apply functional abstraction first (--fa)")
         graph = functional_abstraction(graph)
     graph = minimize_graph(graph)
-    try:
-        seq = codegen(graph)
-    except RewriteError as exc:
-        _fail(2, str(exc))
+    seq = codegen(graph)
     if not (bisimilar(extract_functional(seq), graph) and is_implementation(seq, graph)):
         _fail(3, "generated sequence failed its self-check")
     click.echo(print_pga(seq))
-    sys.exit(0)
 
 
 @main.command("search")
@@ -223,7 +208,7 @@ def cmd_codegen(thread_path, apply_fa) -> None:
               help="Most sequences the search may check or emit before it gives up.")
 def cmd_search(thread_path, max_prefix, max_cycle, alphabet, pareto, max_candidates) -> None:
     """List every implementation of a thread within the bounds."""
-    graph = _load_thread_file(thread_path)
+    graph = parse_thread(_read(thread_path))
     names = tuple(part.strip() for part in alphabet.split(",") if part.strip())
     try:
         bounds = SearchBounds(max_prefix, max_cycle, names)
@@ -240,7 +225,6 @@ def cmd_search(thread_path, max_prefix, max_cycle, alphabet, pareto, max_candida
         results = pareto_front(results)
     for seq in results:
         click.echo(print_pga(seq))
-    sys.exit(0)
 
 
 if __name__ == "__main__":

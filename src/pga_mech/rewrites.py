@@ -95,14 +95,21 @@ def _replace_at(seq: InstrSeq, p: int, ins: Instruction) -> InstrSeq:
     return InstrSeq(seq.prefix, seq.cycle[:s] + (ins,) + seq.cycle[s + 1:])
 
 
+def _reachable(seq: InstrSeq) -> list[tuple[int, Instruction]]:
+    """The reachable positions with their instructions, in position order."""
+    return [(p, instruction_at(seq, p)) for p in sorted(reachable_positions(seq))]
+
+
 # --- jump unchaining ---------------------------------------------------------
 
-def _first_chained_jump(seq: InstrSeq) -> int | None:
-    for p in sorted(reachable_positions(seq)):
-        if instruction_at(seq, p).kind != JUMP:
+def _first_jump_onto(seq: InstrSeq, kind: str) -> int | None:
+    """The first reachable jump that lands on an instruction of ``kind`` at
+    another position."""
+    for p, ins in _reachable(seq):
+        if ins.kind != JUMP:
             continue
         t = jump_target(seq, p)
-        if isinstance(t, int) and t != p and instruction_at(seq, t).kind == JUMP:
+        if isinstance(t, int) and t != p and instruction_at(seq, t).kind == kind:
             return p
     return None
 
@@ -123,36 +130,28 @@ def _resolve_chain(seq: InstrSeq, p: int) -> InstrSeq:
     return _replace_at(seq, p, jump(k))
 
 
+def _rewrite_jumps_onto(seq: InstrSeq, kind: str, rule: str,
+                        rewrite) -> tuple[InstrSeq, list[RewriteStep]]:
+    """Apply ``rewrite(seq, p)`` to the first reachable jump onto ``kind``
+    until none is left, verifying each step."""
+    steps: list[RewriteStep] = []
+    while (p := _first_jump_onto(seq, kind)) is not None:
+        after = rewrite(seq, p)
+        steps.append(_verified_step(rule, p, seq, after))
+        seq = after
+    return seq, steps
+
+
 def unchain(seq: InstrSeq) -> tuple[InstrSeq, list[RewriteStep]]:
     """Remove chained jumps: afterwards no reachable jump lands on a jump at
     another position.  Each step carries its verified evidence."""
-    steps: list[RewriteStep] = []
-    while True:
-        p = _first_chained_jump(seq)
-        if p is None:
-            return seq, steps
-        after = _resolve_chain(seq, p)
-        steps.append(_verified_step("unchain", p, seq, after))
-        seq = after
+    return _rewrite_jumps_onto(seq, JUMP, "unchain", _resolve_chain)
 
 
 def eliminate_jump_to_termination(seq: InstrSeq) -> tuple[InstrSeq, list[RewriteStep]]:
     """Replace every reachable jump that lands on ``!`` by ``!`` itself."""
-    steps: list[RewriteStep] = []
-    while True:
-        site = None
-        for p in sorted(reachable_positions(seq)):
-            if instruction_at(seq, p).kind != JUMP:
-                continue
-            t = jump_target(seq, p)
-            if isinstance(t, int) and instruction_at(seq, t).kind == TERMINATION:
-                site = p
-                break
-        if site is None:
-            return seq, steps
-        after = _replace_at(seq, site, TERMINATE)
-        steps.append(_verified_step("eliminate-jump-to-termination", site, seq, after))
-        seq = after
+    return _rewrite_jumps_onto(seq, TERMINATION, "eliminate-jump-to-termination",
+                               lambda s, p: _replace_at(s, p, TERMINATE))
 
 
 def has_adjacent_delays(g: ThreadGraph) -> bool:
@@ -191,8 +190,7 @@ def rewrite_negtest_jump(seq: InstrSeq, p: int) -> InstrSeq:
             or i2.kind != JUMP or i2.counter < 1):
         raise RewriteError("site does not match the negative-test/termination/jump shape")
     interior = {p + 1, p + 2}
-    for q in reachable_positions(seq):
-        ins = instruction_at(seq, q)
+    for q, ins in _reachable(seq):
         if q != p and any(canonical_position(seq, t) in interior
                           for t in _successors(q, ins)):
             raise RewriteError("a jump targets the rewritten span" if ins.kind == JUMP
@@ -327,24 +325,20 @@ def expand_test_chain(seq: InstrSeq, p: int, r: int, new_target: int) -> InstrSe
 
 # --- improvement search ------------------------------------------------------
 
-def _expansion_sites(seq: InstrSeq) -> list[int]:
+def _expansion_sites(seq: InstrSeq,
+                     reachable: list[tuple[int, Instruction]]) -> list[tuple[int, str]]:
+    """The reachable ``+b;#k;!`` sites of ``seq`` with their actions."""
     sites = []
-    for p in sorted(reachable_positions(seq)):
-        if instruction_at(seq, p).kind != POS_TEST:
+    for p, ins in reachable:
+        if ins.kind != POS_TEST:
             continue
         try:
             _, i1, i2 = _region_span(seq, p, 3)
         except RewriteError:
             continue
         if i1.kind == JUMP and i1.counter >= 1 and i2.kind == TERMINATION:
-            sites.append(p)
+            sites.append((p, ins.action))
     return sites
-
-
-def _test_positions(seq: InstrSeq, action: str) -> list[int]:
-    return sorted(p for p in reachable_positions(seq)
-                  if instruction_at(seq, p).kind in (POS_TEST, NEG_TEST)
-                  and instruction_at(seq, p).action == action)
 
 
 def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
@@ -370,8 +364,7 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
         found = strict("eliminate-jump-to-termination", esteps[0].site, eliminated)
         if found:
             return found
-    for p in sorted(reachable_positions(seq)):
-        ins = instruction_at(seq, p)
+    for p, ins in _reachable(seq):
         if ins.kind != NEG_TEST:
             continue
         try:
@@ -386,9 +379,11 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
     if seq.cycle is not None:
         bases.append(unroll(seq))
     for base in bases:
-        for p in _expansion_sites(base):
-            action = instruction_at(base, p).action
-            for t in _test_positions(base, action):
+        reachable = _reachable(base)
+        for p, action in _expansion_sites(base, reachable):
+            for t, ins in reachable:
+                if ins.kind not in (POS_TEST, NEG_TEST) or ins.action != action:
+                    continue
                 for r in range(1, base.total_len + 1):
                     try:
                         candidate = expand_test_chain(base, p, r, t)

@@ -8,7 +8,9 @@ emitted, under an explicit budget.
 
 ``pareto_front`` keeps the results whose mechanistic behavior no other
 result strictly improves.  It costs one extraction per result plus one
-comparison per pair of distinct behaviors.  Known limitation: two results
+comparison per pair of distinct mechanistic graphs, which can outnumber the
+distinct behaviors: ``(a)^w`` and ``(a;a)^w`` are bisimilar but have
+different graphs.  Known limitation: two results
 that improve each other without being bisimilar drop each other, so the
 front can come out empty.
 """
@@ -24,6 +26,7 @@ from .instructions import (
     JUMP,
     TERMINATE,
     TERMINATION,
+    _ACTION_RE,
     InstrSeq,
     Instruction,
     _branches,
@@ -66,6 +69,9 @@ class SearchBounds:
             raise ValueError("bounds admit no sequence")
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
+        for action in self.alphabet:
+            if not _ACTION_RE.match(action):
+                raise ValueError(f"invalid action name {action!r}")
 
 
 @cache
@@ -78,13 +84,31 @@ def _slot_options(total: int, alphabet: tuple[str, ...]) -> tuple[Instruction, .
             *(jump(k) for k in range(total + 1)))
 
 
-def _fits(ins: Instruction, node) -> bool:
+def _fits(ins: Instruction, kind: str, action: str | None) -> bool:
     """Whether a non-jump instruction can stand where the delay-free target
-    is at ``node``: ``!`` at S, an action instruction on the node's action
-    at a post node, nothing at D."""
+    is at a node of ``kind`` and ``action``: ``!`` at S, an action
+    instruction on the node's action at a post node, nothing at D."""
     if ins.kind == TERMINATION:
-        return node.kind == S
-    return node.kind == POST and node.action == ins.action
+        return kind == S
+    return kind == POST and action == ins.action
+
+
+@cache
+def _allowed(n: int, m: int, s: int, kind: str, action: str | None,
+             alphabet: tuple[str, ...]) -> tuple[int, ...]:
+    """Indices into ``_slot_options(n + m, alphabet)`` for slot ``s`` of
+    prefix length ``n`` and cycle length ``m``, reached at a target node of
+    ``kind`` and ``action``: the options that fit the node, and every jump
+    except, away from D, the ones that deadlock at once (#0, off the end,
+    back onto ``s``)."""
+    allowed = []
+    for i, ins in enumerate(_slot_options(n + m, alphabet)):
+        if ins.kind != JUMP:
+            if _fits(ins, kind, action):
+                allowed.append(i)
+        elif kind == D or (ins.counter and _slot(n, m, s + ins.counter) not in (None, s)):
+            allowed.append(i)
+    return tuple(allowed)
 
 
 class _ShapeSearch:
@@ -103,12 +127,11 @@ class _ShapeSearch:
     def __init__(self, check: ThreadGraph | None, target: ThreadGraph, n: int, m: int,
                  alphabet: tuple[str, ...], spend) -> None:
         self.check, self.target, self.tnodes = check, target, target.nodes
-        self.n, self.m, self.spend = n, m, spend
+        self.n, self.m, self.alphabet, self.spend = n, m, alphabet, spend
         self.options = _slot_options(n + m, alphabet)
         self.slots: list[Instruction | None] = [None] * (n + m)
         self.chosen = [-1] * (n + m)  # option index per slot, -1 unassigned
         self.keys: list[tuple[int, ...]] = []
-        self._allowed: dict[tuple[int, int], list[int]] = {}
 
     def results(self) -> list[InstrSeq]:
         """Every matching sequence of the shape, by option indices."""
@@ -118,24 +141,6 @@ class _ShapeSearch:
             ins = [self.options[c] for c in key]
             out.append(InstrSeq(tuple(ins[:n]), tuple(ins[n:]) if self.m else None))
         return out
-
-    def _allowed_at(self, s: int, tnode: int) -> list[int]:
-        """Options for slot ``s`` reached at target node ``tnode``: those
-        that fit the node, and every jump except, away from D, the ones
-        that deadlock at once (#0, off the end, back onto ``s``)."""
-        key = (s, tnode)
-        if key not in self._allowed:
-            node = self.tnodes[tnode]
-            allowed = []
-            for i, ins in enumerate(self.options):
-                if ins.kind != JUMP:
-                    if _fits(ins, node):
-                        allowed.append(i)
-                elif node.kind == D or (ins.counter and _slot(self.n, self.m, s + ins.counter)
-                                        not in (None, s)):
-                    allowed.append(i)
-            self._allowed[key] = allowed
-        return self._allowed[key]
 
     def _walk(self, seen: set[tuple[int, int]], stack: list[tuple[int, int]]) -> None:
         """Continue the walk from ``stack`` (position, target node) items,
@@ -159,7 +164,7 @@ class _ShapeSearch:
             if (s, tnode) in seen:
                 continue
             seen.add((s, tnode))
-            if not _fits(ins, node):
+            if not _fits(ins, node.kind, node.action):
                 return
             if ins.kind != TERMINATION:
                 t, f = _branches(s, ins)
@@ -170,7 +175,8 @@ class _ShapeSearch:
             return
         s, _, tnode = pending[0]
         resume = [(start, t) for _, start, t in reversed(pending)]
-        for i in self._allowed_at(s, tnode):
+        node = self.tnodes[tnode]
+        for i in _allowed(n, m, s, node.kind, node.action, self.alphabet):
             self.slots[s], self.chosen[s] = self.options[i], i
             self._walk(set(seen), list(resume))
         self.slots[s], self.chosen[s] = None, -1
@@ -253,7 +259,8 @@ def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     Extraction numbers nodes breadth-first and graphs compare on their
     nodes, so equal graphs are bisimilar and never strictly improve each
     other; the cost is one extraction per member plus one ``compare`` per
-    pair of distinct graphs.  Known limitation: two members that improve
+    pair of distinct graphs.  Bisimilar members can still have distinct
+    graphs, such as those of ``(a)^w`` and ``(a;a)^w``.  Known limitation: two members that improve
     each other without being bisimilar drop each other, so the front can
     come out empty.
     """

@@ -231,6 +231,31 @@ def test_search_alphabet_must_cover_thread(tmp_path):
     assert "'c'" in result.output and "--alphabet" in result.output
 
 
+def test_search_invalid_action_name_exit_2(tmp_path):
+    path = tmp_path / "p.thread"
+    path.write_text("P = a . Q\nQ = S\n")
+    for alphabet, name in (("a,A", "A"), ("a,1x", "1x")):
+        result = run("search", "--thread-file", str(path), "--max-prefix", "1",
+                     "--max-cycle", "0", "--alphabet", alphabet)
+        assert result.exit_code == 2, alphabet
+        assert result.stdout == ""
+        assert result.stderr == f"error: invalid action name {name!r}\n"
+
+
+def test_non_utf8_file_exit_2(tmp_path):
+    path = tmp_path / "bad.thread"
+    path.write_bytes(b"P = \xff\n")
+    for args in (["extract", "--functional", "--file", str(path)],
+                 ["check", "implements", "--pga", "a;!", "--thread-file", str(path)],
+                 ["codegen", "--thread-file", str(path)],
+                 ["search", "--thread-file", str(path), "--max-prefix", "1",
+                  "--max-cycle", "0", "--alphabet", "a"]):
+        result = run(*args)
+        assert result.exit_code == 2, args[0]
+        assert result.stdout == ""
+        assert result.stderr == f"error: {str(path)!r} is not UTF-8: invalid start byte at offset 4\n"
+
+
 def test_deterministic_output():
     first = run("extract", "--mechanistic", "--pga", "(+a;#4;+b;#4;!)^w", "--format", "json")
     second = run("extract", "--mechanistic", "--pga", "(+a;#4;+b;#4;!)^w", "--format", "json")

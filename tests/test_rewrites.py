@@ -378,6 +378,9 @@ def test_search_bounds_validation():
         SearchBounds(0, 0, ("a",))
     with pytest.raises(ValueError):
         SearchBounds(2, 0, ())
+    for name in ("A", "1x", "a b", ""):
+        with pytest.raises(ValueError, match=f"invalid action name {name!r}"):
+            SearchBounds(2, 0, ("a", name))
 
 
 def test_pre_extraction_is_optimal_within_bounds():
