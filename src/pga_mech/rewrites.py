@@ -8,6 +8,7 @@ would worsen or change the functional behavior raises instead of returning
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .extraction import extract_mechanistic
@@ -84,15 +85,16 @@ def _verified_step(rule: str, site: int, before: InstrSeq, after: InstrSeq) -> R
     return RewriteStep(rule, site, before, after, verdict)
 
 
-def _replace_at(seq: InstrSeq, p: int, ins: Instruction) -> InstrSeq:
-    p = canonical_position(seq, p)
-    n = seq.prefix_len
-    if p < n:
-        return InstrSeq(seq.prefix[:p] + (ins,) + seq.prefix[p + 1:], seq.cycle)
-    if seq.cycle is None:
-        raise ValueError("position past the end of a finite sequence")
-    s = p - n
-    return InstrSeq(seq.prefix, seq.cycle[:s] + (ins,) + seq.cycle[s + 1:])
+def _edit(seq: InstrSeq, at: int, count: int, new: tuple[Instruction, ...],
+          code: tuple[Instruction, ...] | None = None) -> InstrSeq:
+    """Replace the ``count`` instructions from canonical position ``at`` of
+    the flat code ``prefix + cycle`` (or of ``code``, of the same length)
+    by ``new``; the part that holds ``at`` takes up the change in length."""
+    if code is None:
+        code = seq.prefix + (seq.cycle or ())
+    n = seq.prefix_len + (len(new) - count if at < seq.prefix_len else 0)
+    code = code[:at] + new + code[at + count:]
+    return InstrSeq(code[:n], None if seq.cycle is None else code[n:])
 
 
 def _reachable(seq: InstrSeq) -> list[tuple[int, Instruction]]:
@@ -127,7 +129,7 @@ def _resolve_chain(seq: InstrSeq, p: int) -> InstrSeq:
         k = seq.cycle_len
     else:
         k = 0
-    return _replace_at(seq, p, jump(k))
+    return _edit(seq, p, 1, (jump(k),))
 
 
 def _rewrite_jumps_onto(seq: InstrSeq, kind: str, rule: str,
@@ -151,7 +153,7 @@ def unchain(seq: InstrSeq) -> tuple[InstrSeq, list[RewriteStep]]:
 def eliminate_jump_to_termination(seq: InstrSeq) -> tuple[InstrSeq, list[RewriteStep]]:
     """Replace every reachable jump that lands on ``!`` by ``!`` itself."""
     return _rewrite_jumps_onto(seq, TERMINATION, "eliminate-jump-to-termination",
-                               lambda s, p: _replace_at(s, p, TERMINATE))
+                               lambda s, p: _edit(s, p, 1, (TERMINATE,)))
 
 
 def has_adjacent_delays(g: ThreadGraph) -> bool:
@@ -165,16 +167,12 @@ def has_adjacent_delays(g: ThreadGraph) -> bool:
 def _region_span(seq: InstrSeq, p: int, length: int) -> tuple[Instruction, ...]:
     """The ``length`` instructions from ``p``; rejects spans that leave the
     prefix or wrap around the cycle."""
-    n, m = seq.prefix_len, seq.cycle_len
-    if p < n:
-        if p + length > n:
-            raise RewriteError("span crosses prefix/cycle boundary")
-        return seq.prefix[p:p + length]
-    if seq.cycle is None:
+    n = seq.prefix_len
+    if p >= n and seq.cycle is None:
         raise RewriteError("span starts past the end of a finite sequence")
-    if (p - n) + length > m:
+    if p + length > (n if p < n else seq.total_len):
         raise RewriteError("span crosses prefix/cycle boundary")
-    return seq.cycle[p - n:p - n + length]
+    return seq.prefix[p:p + length] if p < n else seq.cycle[p - n:p - n + length]
 
 
 def rewrite_negtest_jump(seq: InstrSeq, p: int) -> InstrSeq:
@@ -195,9 +193,7 @@ def rewrite_negtest_jump(seq: InstrSeq, p: int) -> InstrSeq:
                           for t in _successors(q, ins)):
             raise RewriteError("a jump targets the rewritten span" if ins.kind == JUMP
                                else "a test skips into the rewritten span")
-    after = _replace_at(seq, p, pos_test(i0.action))
-    after = _replace_at(after, p + 1, jump(i2.counter + 1))
-    after = _replace_at(after, p + 2, TERMINATE)
+    after = _edit(seq, p, 3, (pos_test(i0.action), jump(i2.counter + 1), TERMINATE))
     verdict = compare(extract_mechanistic(after), extract_mechanistic(seq))
     if verdict is not ComparisonVerdict.EQUAL:
         raise RewriteVerificationError(
@@ -239,15 +235,11 @@ def splice(seq: InstrSeq, at: int, remove_count: int,
         return x if x < span_start else x + delta
 
     def remap(pos: int, ins: Instruction) -> Instruction:
-        if ins.kind != JUMP or ins.counter == 0:
+        if ins.kind != JUMP or ins.counter == 0 or span_start <= pos < span_end:
             return ins
         target = pos + ins.counter
-        if target < n or m == 0:
-            canon_t = target
-            copies = 0
-        else:
-            copies = (target - n) // m
-            canon_t = n + (target - n) % m
+        copies = (target - n) // m if target >= n and m else 0
+        canon_t = target - copies * m
         if span_start <= canon_t < span_end:
             raise RewriteError("jump into spliced region")
         t_new = map_pos(canon_t) + copies * new_m
@@ -256,24 +248,9 @@ def splice(seq: InstrSeq, at: int, remove_count: int,
             raise RewriteError("splice would reverse a jump")
         return jump(k_new)
 
-    new_prefix: list[Instruction] = []
-    for i, ins in enumerate(seq.prefix):
-        if i == span_start:
-            new_prefix.extend(replacement)
-        if span_start <= i < span_end:
-            continue
-        new_prefix.append(remap(i, ins))
-    new_cycle: list[Instruction] | None = None
-    if seq.cycle is not None:
-        new_cycle = []
-        for s, ins in enumerate(seq.cycle):
-            i = n + s
-            if i == span_start:
-                new_cycle.extend(replacement)
-            if span_start <= i < span_end:
-                continue
-            new_cycle.append(remap(i, ins))
-    return InstrSeq(tuple(new_prefix), tuple(new_cycle) if new_cycle is not None else None)
+    code = seq.prefix + (seq.cycle or ())
+    return _edit(seq, at, remove_count, replacement,
+                 tuple(remap(pos, ins) for pos, ins in enumerate(code)))
 
 
 def expand_test_chain(seq: InstrSeq, p: int, r: int, new_target: int) -> InstrSeq:
@@ -298,26 +275,16 @@ def expand_test_chain(seq: InstrSeq, p: int, r: int, new_target: int) -> InstrSe
             raise RewriteError("newTarget does not hold a matching test")
     n, m = seq.prefix_len, seq.cycle_len
     delta = 2 * r
-    in_prefix = p < n
-    new_n = n + delta if in_prefix else n
-    new_m = m if in_prefix else m + delta
+    new_m = m if p < n else m + delta
     jump_pos_new = p + 2 * r + 1
-    if t == p:
-        if in_prefix or seq.cycle is None:
-            raise RewriteError("newTarget must lie ahead of the expanded site")
-        target_new = p + new_m
-    else:
-        t_new = t if t < p else t + delta
-        if t >= n and m:
-            slot = t_new - new_n
-            candidate = new_n + slot
-            while candidate <= jump_pos_new:
-                candidate += new_m
-            target_new = candidate
-        else:
-            target_new = t_new
-            if target_new <= jump_pos_new:
-                raise RewriteError("newTarget must lie ahead of the expanded site")
+    # the image of the target under the shift, moved into the first cycle
+    # copy ahead of the new jump; the replaced site's image is its start
+    target_new = t if t <= p else t + delta
+    if t >= n and m:
+        while target_new <= jump_pos_new:
+            target_new += new_m
+    elif target_new <= jump_pos_new:
+        raise RewriteError("newTarget must lie ahead of the expanded site")
     k_prime = target_new - jump_pos_new
     replacement = (neg_test(action), TERMINATE) * r + (pos_test(action), jump(k_prime), TERMINATE)
     return splice(seq, p, 3, replacement)
@@ -341,29 +308,16 @@ def _expansion_sites(seq: InstrSeq,
     return sites
 
 
-def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
-    """Search the rewrite catalog for the first strict improvement of the
-    mechanistic behavior; None when the catalog finds nothing."""
-    before = extract_mechanistic(seq)
-
-    def strict(rule: str, site: int, candidate: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
-        if candidate == seq:
-            return None
-        verdict = compare(extract_mechanistic(candidate), before)
-        if verdict is ComparisonVerdict.STRICTLY_IMPROVES:
-            return candidate, RewriteStep(rule, site, seq, candidate, verdict)
-        return None
-
+def _candidates(seq: InstrSeq) -> Iterator[tuple[str, int, InstrSeq]]:
+    """The rewrite catalog's candidates for ``seq`` as (rule, site,
+    candidate), built one at a time in the order ``improve_step`` tries
+    them."""
     unchained, usteps = unchain(seq)
     if usteps:
-        found = strict("unchain", usteps[0].site, unchained)
-        if found:
-            return found
+        yield "unchain", usteps[0].site, unchained
     eliminated, esteps = eliminate_jump_to_termination(seq)
     if esteps:
-        found = strict("eliminate-jump-to-termination", esteps[0].site, eliminated)
-        if found:
-            return found
+        yield "eliminate-jump-to-termination", esteps[0].site, eliminated
     for p, ins in _reachable(seq):
         if ins.kind != NEG_TEST:
             continue
@@ -371,14 +325,8 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
             candidate = rewrite_negtest_jump(seq, p)
         except RewriteError:
             continue
-        candidate, _ = unchain(candidate)
-        found = strict("negtest-jump+unchain", p, candidate)
-        if found:
-            return found
-    bases = [seq]
-    if seq.cycle is not None:
-        bases.append(unroll(seq))
-    for base in bases:
+        yield "negtest-jump+unchain", p, unchain(candidate)[0]
+    for base in (seq,) if seq.cycle is None else (seq, unroll(seq)):
         reachable = _reachable(base)
         for p, action in _expansion_sites(base, reachable):
             for t, ins in reachable:
@@ -389,9 +337,28 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
                         candidate = expand_test_chain(base, p, r, t)
                     except RewriteError:
                         continue
-                    found = strict("expand-test-chain", p, candidate)
-                    if found:
-                        return found
+                    yield "expand-test-chain", p, candidate
+
+
+def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
+    """Search the rewrite catalog for the first strict improvement of the
+    mechanistic behavior; None when the catalog finds nothing.
+
+    The catalog order, with no candidate built once an earlier one is
+    accepted: 1. unchain; 2. eliminate-jump-to-termination;
+    3. negtest-jump+unchain at each negative test; 4. expand-test-chain
+    for each ``+b;#k;!`` site x matching test x ``r`` = 1 up to the length,
+    first on the sequence and then on its unrolling.  Each candidate costs
+    an extraction and a ``compare``, so the cost of a step grows steeply
+    with the sequence's length.
+    """
+    before = extract_mechanistic(seq)
+    for rule, site, candidate in _candidates(seq):
+        if candidate == seq:
+            continue
+        verdict = compare(extract_mechanistic(candidate), before)
+        if verdict is ComparisonVerdict.STRICTLY_IMPROVES:
+            return candidate, RewriteStep(rule, site, seq, candidate, verdict)
     return None
 
 

@@ -435,6 +435,10 @@ def parse_thread(text: str) -> ThreadGraph:
     index = {name: i for i, name in enumerate(order)}
 
     def ref(name: str, user: str) -> int:
+        if name in _RESERVED_NAMES:
+            form = "sigma(N)" if name == "sigma" else name
+            raise ThreadSyntaxError(f"{name!r} is reserved and cannot be referred to; "
+                                    f"write 'X = {form}' and refer to X", lines[user])
         if name not in index:
             raise ThreadSyntaxError(f"undefined name {name!r}", lines[user])
         return index[name]

@@ -260,3 +260,12 @@ def test_deterministic_output():
     first = run("extract", "--mechanistic", "--pga", "(+a;#4;+b;#4;!)^w", "--format", "json")
     second = run("extract", "--mechanistic", "--pga", "(+a;#4;+b;#4;!)^w", "--format", "json")
     assert first.stdout == second.stdout
+
+
+def test_reserved_name_reference_exit_2():
+    for thread, name in (("P = a ? P : D", "D"), ("Q = sigma(S)", "S")):
+        result = run("compare", "--thread", thread, "--pga", "a;!")
+        assert result.exit_code == 2, thread
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {name!r} is reserved and cannot be referred to; "
+                                 f"write 'X = {name}' and refer to X at line 1\n")

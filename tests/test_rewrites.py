@@ -43,7 +43,14 @@ from pga_mech import (
     unchain,
     unroll,
 )
-from pga_mech.instructions import JUMP, instruction_at
+from pga_mech.instructions import (
+    JUMP,
+    NEG_TEST,
+    POS_TEST,
+    TERMINATION,
+    InstrSeq,
+    instruction_at,
+)
 
 from helpers import chain_witnesses, random_graph, random_seq, reference_pareto_front
 
@@ -180,22 +187,31 @@ def test_splice_prefix_shift():
 
 
 def test_splice_remap_preserves_targets():
-    # every surviving jump must land on the image of its old target; the
-    # instruction found there has the same kind and action as before
+    # every surviving jump must land on the image of its old target, in the
+    # same cycle copy; the instruction found there has the same kind and
+    # action as before.  The replacement is inserted as it is, jumps and
+    # all, without remapping.
     rng = random.Random(54)
     from pga_mech import canonical_position
+    pool = (basic("x"), TERMINATE, jump(0), jump(1), jump(2), jump(5))
+
+    def copy(seq, t):
+        # the cycle copy holding unfolding position t; -1 in the prefix
+        return (t - seq.prefix_len) // seq.cycle_len if t >= seq.prefix_len else -1
+
     for _ in range(400):
         s = random_seq(rng, max_prefix=5, max_cycle=5)
         n, m = s.prefix_len, s.cycle_len
         at = rng.randrange(n + m)
         limit = (n - at) if at < n else (n + m - at)
         rc = rng.randint(0, limit)
-        repl = [basic("x") for _ in range(rng.randint(0 if rc else 1, 3))]
+        repl = [rng.choice(pool) for _ in range(rng.randint(0 if rc else 1, 3))]
         try:
             out = splice(s, at, rc, repl)
         except RewriteError:
             continue
         delta = len(repl) - rc
+        assert [instruction_at(out, at + i) for i in range(len(repl))] == repl
 
         def map_pos(x):
             return x if x < at else x + delta
@@ -206,17 +222,21 @@ def test_splice_remap_preserves_targets():
             ins = instruction_at(s, p)
             if ins.kind != JUMP or ins.counter == 0:
                 continue
-            old_target = instruction_at(s, p + ins.counter)
+            old_t = p + ins.counter
+            old_target = instruction_at(s, old_t)
             new_p = map_pos(p)
             new_ins = instruction_at(out, new_p)
             assert new_ins.kind == JUMP and new_ins.counter >= 1
-            new_target = instruction_at(out, new_p + new_ins.counter)
+            new_t = new_p + new_ins.counter
+            new_target = instruction_at(out, new_t)
             if old_target is None:
                 assert new_target is None
             else:
                 assert new_target is not None
                 assert new_target.kind == old_target.kind
                 assert new_target.action == old_target.action
+                assert canonical_position(out, new_t) == map_pos(canonical_position(s, old_t))
+                assert copy(out, new_t) == copy(s, old_t)
 
 
 def test_expand_test_chain_produces_chain_witnesses():
@@ -246,6 +266,65 @@ def test_expand_test_chain_errors():
     with pytest.raises(RewriteError):
         # a jump from outside lands inside the replaced span
         expand_test_chain(parse_pga("#2;b;+b;#2;!;+b;!"), 2, 1, 5)
+
+
+def test_expand_test_chain_lands_on_target_image():
+    # every site x every matching test x r <= 3: when the call returns, the
+    # new jump lands on the image of the target under the shift (for the
+    # site itself, on its start one cycle later) by the shortest forward
+    # jump that does; a prefix target at or behind the new jump is an error
+    from pga_mech import canonical_position
+    rng = random.Random(57)
+
+    def is_site(seq, p):
+        end = seq.prefix_len if p < seq.prefix_len else seq.total_len
+        if p + 3 > end:
+            return False
+        i0, i1, i2 = (instruction_at(seq, p + j) for j in range(3))
+        return (i0.kind == POS_TEST and i1.kind == JUMP and i1.counter >= 1
+                and i2.kind == TERMINATION)
+
+    returned = raised_behind = 0
+    for _ in range(600):
+        s = random_seq(rng, max_prefix=4, max_cycle=4, actions=("a", "b"))
+        # plant one site, in the prefix or in the repeating part
+        site = (pos_test(rng.choice("ab")), jump(rng.randint(1, 6)), TERMINATE)
+        in_cycle = s.cycle is not None and rng.random() < 0.5
+        code = list(s.cycle if in_cycle else s.prefix)
+        i = rng.randint(0, len(code))
+        code[i:i] = site
+        s = InstrSeq(s.prefix, tuple(code)) if in_cycle else InstrSeq(tuple(code), s.cycle)
+        n = s.prefix_len
+        for p in range(s.total_len):
+            if not is_site(s, p):
+                continue
+            action = instruction_at(s, p).action
+            for t in range(s.total_len):
+                ins = instruction_at(s, t)
+                if t != p and (ins.kind not in (POS_TEST, NEG_TEST) or ins.action != action):
+                    continue
+                for r in (1, 2, 3):
+                    jump_pos = p + 2 * r + 1
+                    image = t if t <= p else t + 2 * r
+                    behind = t < n and image <= jump_pos
+                    try:
+                        out = expand_test_chain(s, p, r, t)
+                    except RewriteError:
+                        raised_behind += behind
+                        continue  # behind, or a flyover lands in the span
+                    assert not behind, (print_pga(s), p, r, t)
+                    returned += 1
+                    k = instruction_at(out, jump_pos).counter
+                    goal = canonical_position(out, image)
+                    assert canonical_position(out, jump_pos + k) == goal
+                    assert all(canonical_position(out, jump_pos + j) != goal
+                               for j in range(1, k))
+                    if t == p:
+                        assert jump_pos + k == p + out.cycle_len
+                    elif t < n:
+                        assert jump_pos + k == image
+                    assert instruction_at(out, image) == (neg_test(action) if t == p else ins)
+    assert returned > 1000 and raised_behind > 1000
 
 
 def test_improve_step_chain():

@@ -94,6 +94,15 @@ def test_parse_thread_errors():
         parse_thread("S = S")
     with pytest.raises(ThreadSyntaxError):
         parse_thread("P = a ?? Q : R")
+    # a reserved name used as a reference names the form to write instead
+    for text, name, form, line in (("P = a ? P : D", "D", "D", 1),
+                                   ("P = a . Q\nQ = sigma(S)", "S", "S", 2),
+                                   ("P = a . sigma", "sigma", "sigma(N)", 1)):
+        with pytest.raises(ThreadSyntaxError) as reserved:
+            parse_thread(text)
+        assert reserved.value.line == line, text
+        assert f"{name!r} is reserved" in str(reserved.value), text
+        assert f"'X = {form}'" in str(reserved.value), text
 
 
 def test_print_thread_examples():
