@@ -15,6 +15,7 @@ from .extraction import extract_functional, extract_mechanistic
 from .instructions import PgaSyntaxError, parse_pga, print_pga
 from .ordering import (
     _IMPROVING,
+    bisimilar,
     compare,
     is_implementation,
     is_pre_extraction,
@@ -39,7 +40,6 @@ from .threads import (
     POST,
     ThreadGraph,
     ThreadSyntaxError,
-    bisimilar,
     functional_abstraction,
     minimize as minimize_graph,
     parse_thread,

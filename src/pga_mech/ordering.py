@@ -9,11 +9,12 @@ with deadlock.
 
 Every relation here reads one normal form per graph, its delay
 resolution (``threads._delay_resolution``): each node written as a delay
-count plus a delay-free core, with divergent nodes resolved to deadlock.
-No relation builds a new graph.  Behavior graphs are deterministic, so a
-relation holds at the roots exactly when no bad pair of cores can be
-reached from the pair of roots; one walk over the reachable pairs decides
-functional equivalence and improvement in both directions at once.
+count plus a delay-free core, with divergent nodes resolved to deadlock
+and counted by their divergence signature.  No relation builds a new
+graph.  Behavior graphs are deterministic, so a relation holds at the
+roots exactly when no bad pair of cores can be reached from the pair of
+roots; one walk over the reachable pairs decides functional equivalence,
+improvement in both directions and delay-exact bisimilarity at once.
 """
 
 from __future__ import annotations
@@ -22,15 +23,11 @@ from enum import Enum
 
 from .extraction import extract_mechanistic
 from .instructions import InstrSeq
-from .threads import (
-    POST,
-    ThreadGraph,
-    _delay_resolution,
-    bisimilar,
-)
+from .threads import POST, ThreadGraph, _delay_resolution
 
 __all__ = [
     "ComparisonVerdict",
+    "bisimilar",
     "compare",
     "functionally_equivalent",
     "improves",
@@ -57,38 +54,56 @@ _IMPROVING = frozenset({
 })
 
 
-def _walk(p: ThreadGraph, q: ThreadGraph) -> tuple[bool, bool, bool]:
+def _walk(p: ThreadGraph, q: ThreadGraph) -> tuple[bool, bool, bool, bool]:
     """Walk the pairs of cores reachable from the pair of roots of two
-    graphs' delay resolutions.  Returns ``(functional, forward,
-    backward)``: ``functional`` holds when no pair differs in kind or
-    action, ``forward`` when moreover every traversed edge (the root
-    included) spends no more delays on the left than on the right,
-    ``backward`` the same with the sides swapped."""
+    graphs' delay resolutions.  Returns ``(functional, forward, backward,
+    exact)``: ``functional`` holds when no pair differs in kind or action,
+    ``forward`` when moreover every traversed edge (the root included)
+    spends no more delays on the left than on the right, ``backward`` the
+    same with the sides swapped, and ``exact`` when every traversed edge
+    has equal counts on both sides.  ``forward`` and ``backward`` ignore
+    the counts into deadlock, which are divergence signatures."""
     pnodes, pres = _delay_resolution(p)
     qnodes, qres = _delay_resolution(q)
-    dp, a = pres[p.root]
-    dq, b = qres[q.root]
-    forward, backward = dp <= dq, dq <= dp
-    seen = {(a, b)}
-    stack = [(a, b)]
+    d_id = len(p)
+    forward = backward = exact = True
+    seen = set()
+    stack = [(p.root, q.root)]  # edges, as the pairs of nodes they enter
     while stack:
-        a, b = stack.pop()
+        s, t = stack.pop()
+        dp, a = pres[s]
+        dq, b = qres[t]
+        if dp != dq:
+            exact = False
+            if a != d_id:
+                if dp > dq:
+                    forward = False
+                else:
+                    backward = False
+        if (a, b) in seen:
+            continue
+        seen.add((a, b))
         na, nb = pnodes[a], qnodes[b]
         if na.kind != nb.kind or na.action != nb.action:
-            return False, False, False
-        if na.kind != POST:
-            continue
-        for s, t in ((na.true, nb.true), (na.false, nb.false)):
-            dp, a2 = pres[s]
-            dq, b2 = qres[t]
-            if dp > dq:
-                forward = False
-            elif dq > dp:
-                backward = False
-            if (a2, b2) not in seen:
-                seen.add((a2, b2))
-                stack.append((a2, b2))
-    return True, forward, backward
+            return False, False, False, False
+        if na.kind == POST:
+            stack.append((na.true, nb.true))
+            stack.append((na.false, nb.false))
+    return True, forward, backward, exact
+
+
+def bisimilar(p: ThreadGraph, q: ThreadGraph) -> bool:
+    """Delay-exact bisimulation: related nodes have identical kind (and
+    action), related delay nodes have related successors, related post nodes
+    have pairwise related branch successors.  A delay is never absorbed.
+
+    Two nodes are bisimilar exactly when their delay chains have equal
+    counts and end in bisimilar cores, or both diverge with equal
+    signatures.  Decided by one walk over the reachable pairs of cores,
+    like ``compare``: linear in those pairs, which can be the product of
+    the two graphs, e.g. on cycles of coprime lengths.
+    """
+    return _walk(p, q)[3]
 
 
 def functionally_equivalent(p: ThreadGraph, q: ThreadGraph) -> bool:
@@ -103,18 +118,21 @@ def improves(p: ThreadGraph, q: ThreadGraph) -> bool:
 
 
 def strictly_improves(p: ThreadGraph, q: ThreadGraph) -> bool:
-    """Improvement together with delay-exact inequality."""
-    return improves(p, q) and not bisimilar(p, q)
+    """Improvement together with delay-exact inequality.  It holds both ways
+    between mutually equivalent graphs, such as the mechanistic behaviors
+    of ``+a;!;#0`` and ``+a;!;#1;#0``."""
+    _, forward, _, exact = _walk(p, q)
+    return forward and not exact
 
 
 def compare(p: ThreadGraph, q: ThreadGraph) -> ComparisonVerdict:
     """Classify the relationship between two behaviors."""
-    functional, forward, backward = _walk(p, q)
+    functional, forward, backward, exact = _walk(p, q)
     if not functional:
         return ComparisonVerdict.FUNCTIONALLY_DIFFERENT
+    if exact:
+        return ComparisonVerdict.EQUAL
     if forward and backward:
-        if bisimilar(p, q):
-            return ComparisonVerdict.EQUAL
         return ComparisonVerdict.MUTUALLY_EQUIVALENT
     if forward:
         return ComparisonVerdict.STRICTLY_IMPROVES

@@ -36,7 +36,6 @@ from .threads import (
     DELAY,
     S,
     ThreadGraph,
-    _delay_resolution,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "codegen",
     "eliminate_jump_to_termination",
     "expand_test_chain",
-    "has_adjacent_delays",
     "improve_step",
     "rewrite_negtest_jump",
     "splice",
@@ -154,12 +152,6 @@ def eliminate_jump_to_termination(seq: InstrSeq) -> tuple[InstrSeq, list[Rewrite
     """Replace every reachable jump that lands on ``!`` by ``!`` itself."""
     return _rewrite_jumps_onto(seq, TERMINATION, "eliminate-jump-to-termination",
                                lambda s, p: _edit(s, p, 1, (TERMINATE,)))
-
-
-def has_adjacent_delays(g: ThreadGraph) -> bool:
-    """True iff, after divergence collapse, some reachable delay node leads
-    directly into another delay node (a two-delay residual)."""
-    return any(d > 1 for d, _ in _delay_resolution(g)[1])
 
 
 # --- local shape rewrites ----------------------------------------------------

@@ -17,7 +17,7 @@ import json
 import re
 from collections import namedtuple
 
-from .instructions import _ACTION_RE
+from .instructions import _ACTION_RE, _NAME
 
 __all__ = [
     "S",
@@ -27,10 +27,10 @@ __all__ = [
     "Node",
     "ThreadGraph",
     "ThreadSyntaxError",
-    "bisimilar",
     "collapse_divergence",
     "functional_abstraction",
     "graph_to_dict",
+    "has_adjacent_delays",
     "make_d",
     "make_delay",
     "make_post",
@@ -193,42 +193,7 @@ def make_prefix(action: str, inner: ThreadGraph) -> ThreadGraph:
     return ThreadGraph._canonical([root] + _shifted(inner, 1))
 
 
-# --- bisimulation and minimization -----------------------------------------
-
-def bisimilar(g1: ThreadGraph, g2: ThreadGraph) -> bool:
-    """Delay-exact bisimulation: related nodes have identical kind (and
-    action), related delay nodes have related successors, related post nodes
-    have pairwise related branch successors.  A delay is never absorbed.
-
-    Decided by the union-find walk of Hopcroft and Karp (1971): both graphs
-    are deterministic, so merging the pair of roots and then the successor
-    pairs of every merged pair reaches a mismatched kind or action exactly
-    when the roots are not bisimilar.  Left nodes are ``i``, right nodes
-    ``len(g1) + j`` in one union-find forest.
-    """
-    left, right = g1.nodes, g2.nodes
-    offset = len(left)
-    parent = list(range(offset + len(right)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    parent[offset + g2.root] = g1.root
-    stack = [(g1.root, g2.root)]
-    while stack:
-        a, b = stack.pop()
-        x, y = left[a], right[b]
-        if x.kind != y.kind or x.action != y.action:
-            return False
-        for s, t in zip(x.successors(), y.successors()):
-            rs, rt = find(s), find(offset + t)
-            if rs != rt:
-                parent[rt] = rs
-                stack.append((s, t))
-    return True
-
+# --- minimization ----------------------------------------------------------
 
 def _bisimulation_blocks(nodes: tuple[Node, ...]) -> list[int]:
     """Block id per node of the coarsest bisimulation, by Hopcroft's
@@ -326,7 +291,9 @@ def minimize(g: ThreadGraph) -> ThreadGraph:
 def _delay_resolution(g: ThreadGraph) -> tuple[tuple[Node, ...], list[tuple[int, int]]]:
     """``g.nodes`` plus the shared D node, and for each of those nodes the
     number of delays before the first S or post node on its delay chain
-    and that node's id, or ``(0, len(g))`` when the chain diverges."""
+    and that node's id.  A divergent chain resolves to the shared D node,
+    id ``len(g)``, with its divergence signature for a count: the number
+    of delays into D, or -1 on a delay loop."""
     nodes = g.nodes
     d_id = len(nodes)
     out: list = [None if node.kind == DELAY else (0, d_id) if node.kind == D else (0, i)
@@ -334,21 +301,28 @@ def _delay_resolution(g: ThreadGraph) -> tuple[tuple[Node, ...], list[tuple[int,
     for start in range(d_id):
         if out[start] is not None:
             continue
-        # each trail node is marked divergent before it is followed, so a
-        # chain that loops back onto its own trail stays divergent
+        # each trail node is marked a delay loop before it is followed, so
+        # a chain that loops back onto its own trail stays one
         trail = []
         i = start
         while out[i] is None:
             trail.append(i)
-            out[i] = (0, d_id)
+            out[i] = (-1, d_id)
             i = nodes[i].next
         count, core = out[i]
-        if core != d_id:
+        if count >= 0:
             for j in reversed(trail):
                 count += 1
                 out[j] = (count, core)
     out.append((0, d_id))
     return nodes + (_D_NODE,), out
+
+
+def has_adjacent_delays(g: ThreadGraph) -> bool:
+    """True iff, after divergence collapse, some reachable delay node leads
+    directly into another delay node (a two-delay residual)."""
+    d_id = len(g)
+    return any(count > 1 and core != d_id for count, core in _delay_resolution(g)[1])
 
 
 def collapse_divergence(g: ThreadGraph) -> ThreadGraph:
@@ -386,11 +360,11 @@ class ThreadSyntaxError(ValueError):
         self.line = line
 
 
-_EQ_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*)\s*=\s*(.*?)\s*\Z")
-_SIGMA_RE = re.compile(r"sigma\s*\(\s*([A-Za-z][A-Za-z0-9_]*)\s*\)\Z")
-_POST_RE = re.compile(
-    r"([a-z][A-Za-z0-9_.]*)\s*\?\s*([A-Za-z][A-Za-z0-9_]*)\s*:\s*([A-Za-z][A-Za-z0-9_]*)\Z")
-_PREFIX_RE = re.compile(r"([a-z][A-Za-z0-9_.]*)\s*\.\s*([A-Za-z][A-Za-z0-9_]*)\Z")
+_EQ_NAME = r"([A-Za-z][A-Za-z0-9_]*)"  # an equation name, captured
+_EQ_RE = re.compile(rf"\s*{_EQ_NAME}\s*=\s*(.*?)\s*\Z")
+_SIGMA_RE = re.compile(rf"sigma\s*\(\s*{_EQ_NAME}\s*\)\Z")
+_POST_RE = re.compile(rf"({_NAME})\s*\?\s*{_EQ_NAME}\s*:\s*{_EQ_NAME}\Z")
+_PREFIX_RE = re.compile(rf"({_NAME})\s*\.\s*{_EQ_NAME}\Z")
 
 
 def parse_thread(text: str) -> ThreadGraph:

@@ -29,7 +29,7 @@ from pga_mech import (
     minimize,
     search_implementations,
 )
-from pga_mech.threads import D, DELAY
+from pga_mech.threads import D, DELAY, _delay_resolution
 
 from helpers import (
     perturb_delays,
@@ -95,15 +95,18 @@ def test_minimize_matches_reference():
         assert minimize(g) == reference_minimize(g), g.nodes
 
 
-def _has_delay_loop(g):
-    for i in range(len(g)):
-        passed = set()
-        while g.nodes[i].kind == DELAY:
-            if i in passed:
-                return True
-            passed.add(i)
-            i = g.nodes[i].next
-    return False
+def _chase(g, i):
+    """Node ``i``'s delay count and core, read off its delay chain: the
+    delays before the first S or post node and that node, or for a
+    divergent chain its signature (the delays into D, or -1 on a delay
+    loop) and the shared D node, ``len(g)``."""
+    passed = []
+    while g.nodes[i].kind == DELAY:
+        if i in passed:
+            return -1, len(g)
+        passed.append(i)
+        i = g.nodes[i].next
+    return len(passed), len(g) if g.nodes[i].kind == D else i
 
 
 def test_delay_resolution_matches_reference():
@@ -119,11 +122,14 @@ def test_delay_resolution_matches_reference():
         else:
             g = extract_mechanistic(random_seq(rng, max_prefix=6, max_cycle=6))
         g = perturb_delays(rng, g, moves=rng.randint(0, 3))
+        chased = [_chase(g, i) for i in range(len(g))]
+        assert _delay_resolution(g)[1] == chased + [(0, len(g))], g.nodes
         assert collapse_divergence(g) == reference_collapse_divergence(g), g.nodes
         assert functional_abstraction(g) == reference_functional_abstraction(g), g.nodes
         adjacent = has_adjacent_delays(g)
         assert adjacent == reference_has_adjacent_delays(g), g.nodes
-        shapes.add((_has_delay_loop(g), sum(node.kind == D for node in g.nodes) > 1, adjacent))
+        delay_loop = any(count == -1 for count, _ in chased)
+        shapes.add((delay_loop, sum(node.kind == D for node in g.nodes) > 1, adjacent))
     assert len(shapes) == 8
 
 

@@ -70,6 +70,10 @@ def test_compare_examples():
     assert compare(A_THEN_S, B_THEN_S) is ComparisonVerdict.FUNCTIONALLY_DIFFERENT
     assert compare(make_delay(A_THEN_S), make_delay(A_THEN_S, 2)) is ComparisonVerdict.STRICTLY_IMPROVES
     assert compare(make_delay(A_THEN_S, 2), make_delay(A_THEN_S)) is ComparisonVerdict.STRICTLY_IMPROVED_BY
+    loop, loop2 = (extract_mechanistic(parse_pga(t)) for t in ("(#1)^w", "(#1;#1)^w"))
+    assert compare(loop, loop2) is ComparisonVerdict.EQUAL
+    spin, stop = (extract_mechanistic(parse_pga(t)) for t in ("a;(#1)^w", "a;#0"))
+    assert compare(spin, stop) is ComparisonVerdict.MUTUALLY_EQUIVALENT
 
 
 def test_is_implementation_examples():

@@ -126,6 +126,15 @@ def test_bisimilar_examples():
     p1 = extract_mechanistic(parse_pga("(#1;a)^w"))
     p2 = extract_mechanistic(parse_pga("(#2;#1;a)^w"))
     assert bisimilar(p1, p2)
+    # divergent chains match on their signatures: delay loops of any
+    # length are one behavior, delay chains into D differ in length
+    for left, right, expected in (("(#1)^w", "(#1;#1)^w", True),
+                                  ("a;(#1)^w", "a;#1;(#1)^w", True),
+                                  ("a;#1;#0", "a;#1;#1;#0", False),
+                                  ("a;(#1)^w", "a;#0", False)):
+        p, q = (extract_mechanistic(parse_pga(text)) for text in (left, right))
+        assert bisimilar(p, q) is expected, (left, right)
+        assert bisimilar(q, p) is expected, (left, right)
 
 
 def test_bisimilar_is_equivalence():
