@@ -1,9 +1,12 @@
 """Verified rewrites on instruction sequences and code generation.
 
-Every behavior-changing rewrite returns evidence: the verdict of comparing
-the mechanistic behavior after against the one before.  A rewrite that
-would worsen or change the functional behavior raises instead of returning
-— rules are verified, not trusted.
+``unchain``, ``eliminate_jump_to_termination`` and ``improve_step`` return
+each step with its evidence: the verdict of comparing the mechanistic
+behavior after against the one before.  ``rewrite_negtest_jump`` checks
+that the behavior is unchanged.  A verified rewrite that would worsen or
+change the functional behavior raises instead of returning — rules are
+verified, not trusted.  ``splice``, ``expand_test_chain`` and ``unroll``
+are unverified building blocks.
 """
 
 from __future__ import annotations
@@ -78,11 +81,6 @@ class RewriteStep:
                 f"{self.evidence.value!r}")
 
 
-def _verified_step(rule: str, site: int, before: InstrSeq, after: InstrSeq) -> RewriteStep:
-    verdict = compare(extract_mechanistic(after), extract_mechanistic(before))
-    return RewriteStep(rule, site, before, after, verdict)
-
-
 def _edit(seq: InstrSeq, at: int, count: int, new: tuple[Instruction, ...],
           code: tuple[Instruction, ...] | None = None) -> InstrSeq:
     """Replace the ``count`` instructions from canonical position ``at`` of
@@ -133,12 +131,17 @@ def _resolve_chain(seq: InstrSeq, p: int) -> InstrSeq:
 def _rewrite_jumps_onto(seq: InstrSeq, kind: str, rule: str,
                         rewrite) -> tuple[InstrSeq, list[RewriteStep]]:
     """Apply ``rewrite(seq, p)`` to the first reachable jump onto ``kind``
-    until none is left, verifying each step."""
+    until none is left, verifying each step against the one before: each
+    sequence of the run is extracted once."""
     steps: list[RewriteStep] = []
+    before = None
     while (p := _first_jump_onto(seq, kind)) is not None:
         after = rewrite(seq, p)
-        steps.append(_verified_step(rule, p, seq, after))
-        seq = after
+        if before is None:
+            before = extract_mechanistic(seq)
+        graph = extract_mechanistic(after)
+        steps.append(RewriteStep(rule, p, seq, after, compare(graph, before)))
+        seq, before = after, graph
     return seq, steps
 
 
@@ -310,14 +313,6 @@ def _candidates(seq: InstrSeq) -> Iterator[tuple[str, int, InstrSeq]]:
     eliminated, esteps = eliminate_jump_to_termination(seq)
     if esteps:
         yield "eliminate-jump-to-termination", esteps[0].site, eliminated
-    for p, ins in _reachable(seq):
-        if ins.kind != NEG_TEST:
-            continue
-        try:
-            candidate = rewrite_negtest_jump(seq, p)
-        except RewriteError:
-            continue
-        yield "negtest-jump+unchain", p, unchain(candidate)[0]
     for base in (seq,) if seq.cycle is None else (seq, unroll(seq)):
         reachable = _reachable(base)
         for p, action in _expansion_sites(base, reachable):
@@ -338,16 +333,16 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
 
     The catalog order, with no candidate built once an earlier one is
     accepted: 1. unchain; 2. eliminate-jump-to-termination;
-    3. negtest-jump+unchain at each negative test; 4. expand-test-chain
-    for each ``+b;#k;!`` site x matching test x ``r`` = 1 up to the length,
-    first on the sequence and then on its unrolling.  Each candidate costs
-    an extraction and a ``compare``, so the cost of a step grows steeply
-    with the sequence's length.
+    3. expand-test-chain for each ``+b;#k;!`` site x matching test x ``r``
+    = 1 up to the length, first on the sequence and then on its unrolling.
+    Each candidate costs an extraction and a ``compare``, so the cost of a
+    step grows steeply with the sequence's length.  ``rewrite_negtest_jump``
+    followed by unchain is not tried: its result is bisimilar to unchain's
+    (the moved jump is entered only from its test and lands where the old
+    one did), so it never improves when unchain does not.
     """
     before = extract_mechanistic(seq)
     for rule, site, candidate in _candidates(seq):
-        if candidate == seq:
-            continue
         verdict = compare(extract_mechanistic(candidate), before)
         if verdict is ComparisonVerdict.STRICTLY_IMPROVES:
             return candidate, RewriteStep(rule, site, seq, candidate, verdict)

@@ -37,7 +37,7 @@ from .instructions import (
     neg_test,
     pos_test,
 )
-from .ordering import ComparisonVerdict, compare, improves
+from .ordering import _walk, improves
 from .threads import D, DELAY, POST, S, ThreadGraph, functional_abstraction
 
 __all__ = [
@@ -243,14 +243,6 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds,
     return found
 
 
-# verdicts of ``compare(g, h)`` under which the front drops ``h`` (``g``):
-# each side strictly improves the other under MUTUALLY_EQUIVALENT
-_DROPS_RIGHT = frozenset({ComparisonVerdict.STRICTLY_IMPROVES,
-                          ComparisonVerdict.MUTUALLY_EQUIVALENT})
-_DROPS_LEFT = frozenset({ComparisonVerdict.STRICTLY_IMPROVED_BY,
-                         ComparisonVerdict.MUTUALLY_EQUIVALENT})
-
-
 def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     """The members whose mechanistic behavior no other member strictly
     improves, in input order with repeats kept.
@@ -258,18 +250,19 @@ def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     Each member is extracted once and the members are grouped by graph.
     Extraction numbers nodes breadth-first and graphs compare on their
     nodes, so equal graphs are bisimilar and never strictly improve each
-    other; the cost is one extraction per member plus one ``compare`` per
+    other; the cost is one extraction per member plus one relation walk per
     pair of distinct graphs.  Bisimilar members can still have distinct
-    graphs, such as those of ``(a)^w`` and ``(a;a)^w``.  Known limitation: two members that improve
-    each other without being bisimilar drop each other, so the front can
-    come out empty.
+    graphs, such as those of ``(a)^w`` and ``(a;a)^w``.  Known limitation:
+    two members that improve each other without being bisimilar drop each
+    other, so the front can come out empty.
     """
     graphs = [extract_mechanistic(s) for s in seqs]
     dropped: set[ThreadGraph] = set()
     for g, h in combinations(dict.fromkeys(graphs), 2):
-        verdict = compare(g, h)
-        if verdict in _DROPS_RIGHT:
+        # one walk decides ``strictly_improves`` both ways
+        _, forward, backward, exact = _walk(g, h)
+        if forward and not exact:
             dropped.add(h)
-        if verdict in _DROPS_LEFT:
+        if backward and not exact:
             dropped.add(g)
     return [s for s, g in zip(seqs, graphs) if g not in dropped]

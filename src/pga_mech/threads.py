@@ -369,17 +369,14 @@ _PREFIX_RE = re.compile(rf"({_NAME})\s*\.\s*{_EQ_NAME}\Z")
 
 def parse_thread(text: str) -> ThreadGraph:
     """Parse thread equations, one per line (``;`` also separates equations,
-    ``#`` starts a comment).  The first equation's left-hand side is the
+    ``#`` starts a comment that runs to the end of the line, ``;`` included).  The first equation's left-hand side is the
     root.  Forms: ``S``, ``D``, ``sigma(N)``, ``a ? N1 : N2`` and the
     action-prefix sugar ``a . N``."""
     defs: dict[str, tuple] = {}
     lines: dict[str, int] = {}
     order: list[str] = []
     for lineno, raw_line in enumerate(text.split("\n"), 1):
-        for segment in raw_line.split(";"):
-            hash_idx = segment.find("#")
-            if hash_idx >= 0:
-                segment = segment[:hash_idx]
+        for segment in raw_line.partition("#")[0].split(";"):
             if not segment.strip():
                 continue
             m = _EQ_RE.match(segment)

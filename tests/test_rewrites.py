@@ -100,8 +100,13 @@ def test_unchain_postcondition_and_safety():
         assert functionally_equivalent(extract_mechanistic(out), extract_mechanistic(s))
         again, more = unchain(out)
         assert again == out and not more
+        # each step is verified against the step before it
+        befores = [s] + [st.after for st in steps]
+        assert [st.before for st in steps] == befores[:-1] and befores[-1] == out
         for step in steps:
             assert step.evidence in _SAFE
+            assert step.evidence is compare(extract_mechanistic(step.after),
+                                            extract_mechanistic(step.before))
 
 
 def test_eliminate_jump_to_termination():
@@ -142,6 +147,38 @@ def test_rewrite_negtest_jump_errors():
     # a jump into the interior blocks the rewrite
     with pytest.raises(RewriteError):
         rewrite_negtest_jump(parse_pga("#2;-b;!;#2;c;!"), 1)
+
+
+def _plant(rng, s, site):
+    """``s`` with ``site`` inserted into its prefix or its repeating part."""
+    in_cycle = s.cycle is not None and rng.random() < 0.5
+    code = list(s.cycle if in_cycle else s.prefix)
+    i = rng.randint(0, len(code))
+    code[i:i] = site
+    return InstrSeq(s.prefix, tuple(code)) if in_cycle else InstrSeq(tuple(code), s.cycle)
+
+
+def test_negtest_jump_then_unchain_is_bisimilar_to_unchain():
+    # the moved jump is entered only from its test and lands where the old
+    # one did, so unchaining resolves it to the same chain end: the negtest
+    # rule followed by unchain never beats unchain, which improve_step tries
+    # first
+    rng = random.Random(83)
+    applied = 0
+    for _ in range(1500):
+        s = random_seq(rng, max_prefix=5, max_cycle=5, actions=("a", "b"))
+        for _ in range(rng.randint(1, 3)):
+            s = _plant(rng, s, (neg_test(rng.choice("ab")), TERMINATE,
+                                jump(rng.randint(1, 8))))
+        unchained = extract_mechanistic(unchain(s)[0])
+        for p in range(s.total_len):
+            try:
+                after = rewrite_negtest_jump(s, p)
+            except RewriteError:
+                continue
+            applied += 1
+            assert bisimilar(extract_mechanistic(unchain(after)[0]), unchained), (s, p)
+    assert applied > 1000
 
 
 def test_unroll():
@@ -288,12 +325,7 @@ def test_expand_test_chain_lands_on_target_image():
     for _ in range(600):
         s = random_seq(rng, max_prefix=4, max_cycle=4, actions=("a", "b"))
         # plant one site, in the prefix or in the repeating part
-        site = (pos_test(rng.choice("ab")), jump(rng.randint(1, 6)), TERMINATE)
-        in_cycle = s.cycle is not None and rng.random() < 0.5
-        code = list(s.cycle if in_cycle else s.prefix)
-        i = rng.randint(0, len(code))
-        code[i:i] = site
-        s = InstrSeq(s.prefix, tuple(code)) if in_cycle else InstrSeq(tuple(code), s.cycle)
+        s = _plant(rng, s, (pos_test(rng.choice("ab")), jump(rng.randint(1, 6)), TERMINATE))
         n = s.prefix_len
         for p in range(s.total_len):
             if not is_site(s, p):

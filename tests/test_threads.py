@@ -77,6 +77,11 @@ def test_parse_thread_semicolon_separator():
 def test_parse_thread_comments():
     g = parse_thread("# behavior\nP = S  # terminate")
     assert g == make_s()
+    # a comment runs to the end of its line, ``;`` included
+    assert parse_thread("P = a . Q  # run a; then stop\nQ = S") == make_prefix("a", make_s())
+    with pytest.raises(ThreadSyntaxError) as undefined:
+        parse_thread("P = a . Q # loop; Q = S")
+    assert undefined.value.line == 1 and "undefined name 'Q'" in str(undefined.value)
 
 
 def test_parse_thread_errors():
