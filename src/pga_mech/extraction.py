@@ -41,7 +41,11 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
     # ids are handed out in the order of the graph constructor's
     # breadth-first renumbering: the root first, then the new successors of
     # each post or delay node in id order, as ``fill`` is worked off first
-    # in, first out; so the graph is built once and never renumbered
+    # in, first out; so the graph is built once and never renumbered.
+    # ``node_at`` does not call itself: a closure that refers to itself
+    # holds its own cell, and that reference cycle would keep ``nodes``,
+    # ``memo`` and ``fill`` alive after the call until the cyclic collector
+    # ran, so a transparent jump builds the node it lands on in place
     nodes: list = []  # post and delay nodes are None until filled
     memo: dict[int, int] = {}
     fill: list[tuple[int, int]] = []  # (position, id) of post and delay nodes
@@ -78,10 +82,18 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
             # transparent jump: every jump of the chain shares the node it
             # lands on, and a chain that reaches a memoized position stops
             # there, which keeps extraction linear; a cycle of jumps is
-            # deadlock
+            # deadlock.  Any other landing holds ``!`` or an action
             passed: set[int] = set()
             t = _chase(code, n, m, p, memo, passed)
-            nid = shared_d() if t is None or t in passed else node_at(t)
+            if t in memo:
+                nid = memo[t]
+            elif t is None or t in passed or code[t].kind == JUMP:  # or #0
+                nid = shared_d()
+            elif code[t].kind == TERMINATION:
+                nid = memo[t] = alloc(_S_NODE)
+            else:
+                nid = memo[t] = alloc(None)
+                fill.append((t, nid))
             for q in passed:
                 memo[q] = nid
         memo[p] = nid

@@ -195,8 +195,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-_BUILD = {"jump": lambda digits: jump(int(digits)), "pos": pos_test, "neg": neg_test,
-          "ident": basic}
+_BUILD = {"!": lambda _: TERMINATE, "jump": lambda digits: jump(int(digits)),
+          "pos": pos_test, "neg": neg_test, "ident": basic}
+
+# one ``;``-piece of the text that holds exactly one instruction, with the
+# group of its kind as named by ``_PIECE_KINDS``; and what may follow the
+# ``)`` that closes the repetition group
+_PIECE_RE = re.compile(rf"\s*(?:(!)|#([0-9]+)|\+({_NAME})|-({_NAME})|({_NAME}))\s*\Z")
+_PIECE_KINDS = (None, "!", "jump", "pos", "neg", "ident")
+_TAIL_RE = re.compile(r"\s*\^\s*(?:w|ω)\s*\Z")
 
 
 def parse_pga(text: str) -> InstrSeq:
@@ -204,14 +211,44 @@ def parse_pga(text: str) -> InstrSeq:
 
     Grammar: instructions separated by ``;``, with an optional final
     ``(...)^w`` repetition group; ``ω`` is accepted for ``w``.  Material
-    after a repetition group is rejected.
+    after a repetition group is rejected.  Whitespace may surround ``;``,
+    ``(``, ``)``, ``^`` and ``w``/``ω`` but may not split a token.
+
+    The text is cut at its first ``(``, its last ``)`` and every ``;``, and
+    each distinct piece is checked and built once.  Only when a check fails
+    does the token walk read the text, to raise the error with its line
+    and column.
     """
+    head, paren, rest = text.partition("(")
+    pieces = head.split(";")
+    n = len(pieces)
+    if paren:
+        body, close, tail = rest.rpartition(")")
+        gap = pieces.pop()  # between the last ';' of the prefix and '('
+        if not close or (gap and not gap.isspace()) or not _TAIL_RE.match(tail):
+            return _parse_tokens(text)
+        n -= 1
+        pieces += body.split(";")
+    built = {}
+    for piece in set(pieces):
+        match = _PIECE_RE.match(piece)
+        if match is None:
+            return _parse_tokens(text)
+        group = match.lastindex
+        built[piece] = _BUILD[_PIECE_KINDS[group]](match[group])
+    code = tuple(map(built.__getitem__, pieces))
+    return InstrSeq(code[:n], code[n:] if paren else None)
+
+
+def _parse_tokens(text: str) -> InstrSeq:
+    """``parse_pga`` by a walk over the tokens; it owns every syntax error
+    message and location."""
     tokens = _tokenize(text)
     if not tokens:
         raise PgaSyntaxError("empty instruction sequence")
     last = len(tokens) - 1
     tokens.append(("end", "", tokens[-1][2]))  # sentinel, located at the last token
-    built = {("!", "!"): TERMINATE}  # one instance per spelling
+    built: dict[tuple[str, str], Instruction] = {}  # one instance per spelling
     pos = 0
 
     def error(message: str) -> PgaSyntaxError:

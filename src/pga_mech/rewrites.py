@@ -128,21 +128,35 @@ def _resolve_chain(seq: InstrSeq, p: int) -> InstrSeq:
     return _edit(seq, p, 1, (jump(k),))
 
 
-def _rewrite_jumps_onto(seq: InstrSeq, kind: str, rule: str,
-                        rewrite) -> tuple[InstrSeq, list[RewriteStep]]:
+def _jumps_onto(seq: InstrSeq, kind: str,
+                rewrite) -> Iterator[tuple[int, InstrSeq, InstrSeq]]:
     """Apply ``rewrite(seq, p)`` to the first reachable jump onto ``kind``
-    until none is left, verifying each step against the one before: each
-    sequence of the run is extracted once."""
-    steps: list[RewriteStep] = []
-    before = None
+    until none is left, yielding ``(site, before, after)`` per step,
+    unverified."""
     while (p := _first_jump_onto(seq, kind)) is not None:
         after = rewrite(seq, p)
-        if before is None:
-            before = extract_mechanistic(seq)
-        graph = extract_mechanistic(after)
-        steps.append(RewriteStep(rule, p, seq, after, compare(graph, before)))
-        seq, before = after, graph
+        yield p, seq, after
+        seq = after
+
+
+def _rewrite_jumps_onto(seq: InstrSeq, kind: str, rule: str,
+                        rewrite) -> tuple[InstrSeq, list[RewriteStep]]:
+    """The run of ``_jumps_onto``, verifying each step against the one
+    before: each sequence of the run is extracted once."""
+    steps: list[RewriteStep] = []
+    graph = None
+    for p, before, after in _jumps_onto(seq, kind, rewrite):
+        if graph is None:
+            graph = extract_mechanistic(before)
+        after_graph = extract_mechanistic(after)
+        steps.append(RewriteStep(rule, p, before, after, compare(after_graph, graph)))
+        seq, graph = after, after_graph
     return seq, steps
+
+
+def _terminate_at(seq: InstrSeq, p: int) -> InstrSeq:
+    """Replace the jump at ``p`` by ``!``."""
+    return _edit(seq, p, 1, (TERMINATE,))
 
 
 def unchain(seq: InstrSeq) -> tuple[InstrSeq, list[RewriteStep]]:
@@ -154,7 +168,7 @@ def unchain(seq: InstrSeq) -> tuple[InstrSeq, list[RewriteStep]]:
 def eliminate_jump_to_termination(seq: InstrSeq) -> tuple[InstrSeq, list[RewriteStep]]:
     """Replace every reachable jump that lands on ``!`` by ``!`` itself."""
     return _rewrite_jumps_onto(seq, TERMINATION, "eliminate-jump-to-termination",
-                               lambda s, p: _edit(s, p, 1, (TERMINATE,)))
+                               _terminate_at)
 
 
 # --- local shape rewrites ----------------------------------------------------
@@ -307,12 +321,13 @@ def _candidates(seq: InstrSeq) -> Iterator[tuple[str, int, InstrSeq]]:
     """The rewrite catalog's candidates for ``seq`` as (rule, site,
     candidate), built one at a time in the order ``improve_step`` tries
     them."""
-    unchained, usteps = unchain(seq)
-    if usteps:
-        yield "unchain", usteps[0].site, unchained
-    eliminated, esteps = eliminate_jump_to_termination(seq)
-    if esteps:
-        yield "eliminate-jump-to-termination", esteps[0].site, eliminated
+    # the two jump rules run unverified here: improve_step verifies each
+    # candidate itself, so per-step evidence would be thrown away
+    for rule, kind, rewrite in (("unchain", JUMP, _resolve_chain),
+                                ("eliminate-jump-to-termination", TERMINATION, _terminate_at)):
+        run = list(_jumps_onto(seq, kind, rewrite))
+        if run:
+            yield rule, run[0][0], run[-1][2]
     for base in (seq,) if seq.cycle is None else (seq, unroll(seq)):
         reachable = _reachable(base)
         for p, action in _expansion_sites(base, reachable):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from pga_mech import (
     print_pga,
     reachable_positions,
 )
+from pga_mech.instructions import _parse_tokens
 
 from helpers import random_seq
 
@@ -50,6 +52,7 @@ def test_parse_omega_synonym():
 
 def test_parse_whitespace_insensitive():
     assert parse_pga(" + a ; #3 ;\n c ; ! ; b ; ! ".replace(" + a", "+a")) == parse_pga("+a;#3;c;!;b;!")
+    assert parse_pga(" a ;\n( #1 ; b ) ^ ω ") == parse_pga("a;(#1;b)^w")
 
 
 def test_parse_errors():
@@ -69,6 +72,11 @@ def test_parse_errors():
         parse_pga("a;#")
     with pytest.raises(PgaSyntaxError):
         parse_pga("A")
+    # whitespace may surround punctuation but not split a token
+    with pytest.raises(PgaSyntaxError):
+        parse_pga("+ a;!")
+    with pytest.raises(PgaSyntaxError):
+        parse_pga("a;# 3")
 
 
 def test_parse_error_location():
@@ -87,6 +95,77 @@ def test_non_ascii_letters_and_digits_are_located_errors(text, column):
     with pytest.raises(PgaSyntaxError) as exc:
         parse_pga(text)
     assert (exc.value.line, exc.value.column) == (1, column)
+
+
+_SPACE = ("", "", "", " ", "\n", "\t", " \n  ", "\u00a0", "\u2003")
+_INSTR = ("a", "b", "w", "ab.c_1", "+a", "-b", "+w", "!", "#0", "#1", "#3", "#03", "#12")
+_JUNK = ("+ a", "# 3", "- b", "aω", "é", "+é", "#²", "#١", "A", "ω", "a b", "!!", "#", "+",
+         "(", ")", "^", "(a)", "))", "((", "^w", ";", "")
+_CLOSE = (")^w", ")^ω", ")^", ")^wx", ")^w;b", ")^w)", ")^w(", ")^w a", ")", ")w", ")^^w",
+          ")^w;(b)^w")
+
+
+def _soup_text(rng: random.Random) -> str:
+    """Text from a token soup: mostly well-formed instructions with
+    whitespace around every token, junk tokens at a small share, and an
+    optional repetition group whose closing is sometimes malformed."""
+    def sp() -> str:
+        return rng.choice(_SPACE)
+
+    def instr() -> str:
+        return rng.choice(_JUNK if rng.random() < 0.06 else _INSTR)
+
+    def sep() -> str:
+        return sp() + ";" + sp()
+
+    parts = [instr() for _ in range(rng.randrange(0 if rng.random() < 0.5 else 1, 6))]
+    text = sep().join(sp() + part + sp() for part in parts)
+    if rng.random() < 0.6:
+        cycle = sep().join(instr() for _ in range(rng.randrange(1, 5)))
+        close = _CLOSE[rng.randrange(2)] if rng.random() < 0.5 else rng.choice(_CLOSE)
+        text += (sep() if parts else sp()) + "(" + sp() + cycle + sp() + sp().join(close) + sp()
+    if rng.random() < 0.15:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_JUNK + (";;", "\n")) + text[at:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PgaSyntaxError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def test_parse_matches_token_walk():
+    # the piece-wise parser must accept exactly what the token walk accepts,
+    # build the same sequence, and leave every error to the token walk
+    rng = random.Random(1303)
+    valid = 0
+    for _ in range(20_000):
+        text = _soup_text(rng)
+        expected = _outcome(_parse_tokens, text)
+        assert _outcome(parse_pga, text) == expected, text
+        valid += isinstance(expected, InstrSeq)
+    assert 5_000 < valid < 15_000
+
+
+def test_parse_memory_is_linear_and_small():
+    # 100,000 instructions: one regex over the whole text that repeats a
+    # group would keep backtracking state per repetition, tens of MB
+    rng = random.Random(7)
+    pool = ("a", "+b", "-c", "!", "#2", "#0", "d.e")
+    prefix = ";".join(rng.choice(pool) for _ in range(1_000))
+    cycle = ";".join(rng.choice(pool) for _ in range(99_000))
+    text = f"{prefix};({cycle})^w"
+    tracemalloc.start()
+    try:
+        seq = parse_pga(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (seq.prefix_len, seq.cycle_len) == (1_000, 99_000)
+    assert peak < 10 * 2**20
 
 
 def test_empty_sequence_is_not_a_value():
