@@ -15,6 +15,8 @@ graph.  Behavior graphs are deterministic, so a relation holds at the
 roots exactly when no bad pair of cores can be reached from the pair of
 roots; one walk over the reachable pairs decides functional equivalence,
 improvement in both directions and delay-exact bisimilarity at once.
+``bisimilar`` and ``improves`` need one of those answers and stop the walk
+at the first edge that decides it "no".
 """
 
 from __future__ import annotations
@@ -54,42 +56,55 @@ _IMPROVING = frozenset({
 })
 
 
-def _walk(p: ThreadGraph, q: ThreadGraph) -> tuple[bool, bool, bool, bool]:
-    """Walk the pairs of cores reachable from the pair of roots of two
-    graphs' delay resolutions.  Returns ``(functional, forward, backward,
-    exact)``: ``functional`` holds when no pair differs in kind or action,
-    ``forward`` when moreover every traversed edge (the root included)
-    spends no more delays on the left than on the right, ``backward`` the
-    same with the sides swapped, and ``exact`` when every traversed edge
-    has equal counts on both sides.  ``forward`` and ``backward`` ignore
-    the counts into deadlock, which are divergence signatures."""
-    pnodes, pres = _delay_resolution(p)
-    qnodes, qres = _delay_resolution(q)
-    d_id = len(p)
-    forward = backward = exact = True
+# the flags of a relation walk, by index
+_FUNCTIONAL, _FORWARD, _BACKWARD, _EXACT = range(4)
+
+
+def _walk_resolutions(pr, qr, stop: int = _FUNCTIONAL) -> list[bool]:
+    """Walk the pairs of cores reachable from the pair of roots (node 0 of
+    every ``ThreadGraph``), given two graphs' delay resolutions.  Returns
+    the flags ``[functional, forward, backward, exact]``: ``functional``
+    holds when no pair differs in kind or action, ``forward`` when moreover
+    every traversed edge (the root included) spends no more delays on the
+    left than on the right, ``backward`` the same with the sides swapped,
+    and ``exact`` when every traversed edge has equal counts on both sides.
+    ``forward`` and ``backward`` ignore the counts into deadlock, which are
+    divergence signatures.
+
+    The walk returns at the first edge that makes the flag ``stop`` False,
+    leaving the other flags undecided.  A functional difference ends every
+    walk with all four False, so the default ``stop`` decides them all."""
+    pnodes, pres = pr
+    qnodes, qres = qr
+    d_id = len(pnodes) - 1
+    flags = [True, True, True, True]
     seen = set()
-    stack = [(p.root, q.root)]  # edges, as the pairs of nodes they enter
+    stack = [(0, 0)]  # edges, as the pairs of nodes they enter
     while stack:
         s, t = stack.pop()
         dp, a = pres[s]
         dq, b = qres[t]
         if dp != dq:
-            exact = False
+            flags[_EXACT] = False
             if a != d_id:
-                if dp > dq:
-                    forward = False
-                else:
-                    backward = False
+                flags[_FORWARD if dp > dq else _BACKWARD] = False
+            if not flags[stop]:
+                return flags
         if (a, b) in seen:
             continue
         seen.add((a, b))
         na, nb = pnodes[a], qnodes[b]
         if na.kind != nb.kind or na.action != nb.action:
-            return False, False, False, False
+            return [False, False, False, False]
         if na.kind == POST:
             stack.append((na.true, nb.true))
             stack.append((na.false, nb.false))
-    return True, forward, backward, exact
+    return flags
+
+
+def _walk(p: ThreadGraph, q: ThreadGraph, stop: int = _FUNCTIONAL) -> list[bool]:
+    """``_walk_resolutions`` on the delay resolutions of ``p`` and ``q``."""
+    return _walk_resolutions(_delay_resolution(p), _delay_resolution(q), stop)
 
 
 def bisimilar(p: ThreadGraph, q: ThreadGraph) -> bool:
@@ -100,28 +115,30 @@ def bisimilar(p: ThreadGraph, q: ThreadGraph) -> bool:
     Two nodes are bisimilar exactly when their delay chains have equal
     counts and end in bisimilar cores, or both diverge with equal
     signatures.  Decided by one walk over the reachable pairs of cores,
-    like ``compare``: linear in those pairs, which can be the product of
-    the two graphs, e.g. on cycles of coprime lengths.
+    like ``compare``, that stops at the first unequal delay count: linear
+    in those pairs, which can be the product of the two graphs, e.g. on
+    cycles of coprime lengths.
     """
-    return _walk(p, q)[3]
+    return _walk(p, q, _EXACT)[_EXACT]
 
 
 def functionally_equivalent(p: ThreadGraph, q: ThreadGraph) -> bool:
     """True iff the delay-erased behaviors are bisimilar."""
-    return _walk(p, q)[0]
+    return _walk(p, q)[_FUNCTIONAL]
 
 
 def improves(p: ThreadGraph, q: ThreadGraph) -> bool:
     """Decide whether ``p`` improves ``q`` (spends no more delays anywhere
-    while exhibiting the same functional branching)."""
-    return _walk(p, q)[1]
+    while exhibiting the same functional branching).  The walk stops at the
+    first edge where ``p`` spends more delays."""
+    return _walk(p, q, _FORWARD)[_FORWARD]
 
 
 def strictly_improves(p: ThreadGraph, q: ThreadGraph) -> bool:
     """Improvement together with delay-exact inequality.  It holds both ways
     between mutually equivalent graphs, such as the mechanistic behaviors
     of ``+a;!;#0`` and ``+a;!;#1;#0``."""
-    _, forward, _, exact = _walk(p, q)
+    _, forward, _, exact = _walk(p, q, _FORWARD)
     return forward and not exact
 
 

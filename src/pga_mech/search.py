@@ -1,10 +1,15 @@
 """Bounded implementation search.
 
 ``search_implementations`` lists every instruction sequence within given
-bounds that a behavior implements.  The search walks the delay-free target
-along each partial sequence and assigns a slot only when the walk reaches
-it, so slots that no run executes are enumerated only when results are
-emitted, under an explicit budget.
+bounds that a behavior implements.  The search walks the minimal delay-free
+target along each partial sequence and assigns a slot only when the walk
+reaches it, so slots that no run executes are enumerated only when results
+are emitted, under an explicit budget.  Three exact prunes cut the walk
+without changing its results: the target is minimized; a walk that pairs
+a slot with two target nodes fails at once, since two nodes of a minimal
+graph are never bisimilar; and, by pigeonhole, a branch is dropped when
+the target's S and post nodes not yet paired outnumber the slots left to
+pair them with.
 
 ``pareto_front`` keeps the results whose mechanistic behavior no other
 result strictly improves.  It costs one extraction per result plus one
@@ -37,8 +42,17 @@ from .instructions import (
     neg_test,
     pos_test,
 )
-from .ordering import _walk, improves
-from .threads import D, DELAY, POST, S, ThreadGraph, functional_abstraction
+from .ordering import _walk_resolutions, improves
+from .threads import (
+    D,
+    DELAY,
+    POST,
+    S,
+    ThreadGraph,
+    _delay_resolution,
+    functional_abstraction,
+    minimize,
+)
 
 __all__ = [
     "SearchBounds",
@@ -115,19 +129,22 @@ class _ShapeSearch:
     """Demand-driven enumeration of the sequences of one shape: prefix
     length ``n`` and cycle length ``m``.
 
-    The delay-free target is walked along the partial sequence from
+    The minimal delay-free target is walked along the partial sequence from
     position 0, jumps transparent, pairing positions with target nodes.  A
     slot is assigned only when the walk reaches it, and only to the options
-    that can match the target node there.  Slots the finished walk never
-    reached are don't-cares: no run executes them.  ``check`` is the
-    behavior each finished walk is checked to improve on, or None when the
-    walk alone decides.
+    that can match the target node there.  Each slot pairs with one target
+    node, and each S or post node of the target needs a slot of its own; D
+    needs none, as ``#0``, running off the end or a cycle of jumps gives
+    it.  Slots the finished walk never reached are don't-cares: no run
+    executes them.  ``check`` is the behavior each finished walk is checked
+    to improve on, or None when the walk alone decides.
     """
 
     def __init__(self, check: ThreadGraph | None, target: ThreadGraph, n: int, m: int,
                  alphabet: tuple[str, ...], spend) -> None:
         self.check, self.target, self.tnodes = check, target, target.nodes
         self.n, self.m, self.alphabet, self.spend = n, m, alphabet, spend
+        self.need = sum(node.kind != D for node in target.nodes)
         self.options = _slot_options(n + m, alphabet)
         self.slots: list[Instruction | None] = [None] * (n + m)
         self.chosen = [-1] * (n + m)  # option index per slot, -1 unassigned
@@ -135,16 +152,17 @@ class _ShapeSearch:
 
     def results(self) -> list[InstrSeq]:
         """Every matching sequence of the shape, by option indices."""
-        self._walk(set(), [(0, self.target.root)])
+        self._walk({}, [(0, self.target.root)])
         n, out = self.n, []
         for key in sorted(self.keys):
             ins = [self.options[c] for c in key]
             out.append(InstrSeq(tuple(ins[:n]), tuple(ins[n:]) if self.m else None))
         return out
 
-    def _walk(self, seen: set[tuple[int, int]], stack: list[tuple[int, int]]) -> None:
+    def _walk(self, seen: dict[int, int], stack: list[tuple[int, int]]) -> None:
         """Continue the walk from ``stack`` (position, target node) items,
-        then branch on the first unassigned slot it reached, or emit."""
+        then branch on the first unassigned slot it reached, or emit.
+        ``seen`` pairs each slot the walk has matched with its target node."""
         # an item that lands on an unassigned slot waits in ``pending``
         # while the rest of the walk looks for a mismatch
         slots, n, m = self.slots, self.n, self.m
@@ -161,9 +179,13 @@ class _ShapeSearch:
                 if node.kind != D:
                     return
                 continue
-            if (s, tnode) in seen:
+            if s in seen:
+                # a slot that had to behave as two nodes would make them
+                # bisimilar, which no two nodes of a minimal target are
+                if seen[s] != tnode:
+                    return
                 continue
-            seen.add((s, tnode))
+            seen[s] = tnode
             if not _fits(ins, node.kind, node.action):
                 return
             if ins.kind != TERMINATION:
@@ -176,9 +198,17 @@ class _ShapeSearch:
         s, _, tnode = pending[0]
         resume = [(start, t) for _, start, t in reversed(pending)]
         node = self.tnodes[tnode]
+        # pigeonhole: each unpaired S or post node needs a free slot of its
+        # own, and slot ``s`` can serve only ``node``, and only as a non-jump
+        paired = set(seen.values())
+        free = self.chosen.count(-1) - 1
+        unpaired = self.need - len(paired)
+        jumps = unpaired <= free
+        others = unpaired - (node.kind != D and tnode not in paired) <= free
         for i in _allowed(n, m, s, node.kind, node.action, self.alphabet):
-            self.slots[s], self.chosen[s] = self.options[i], i
-            self._walk(set(seen), list(resume))
+            if jumps if self.options[i].kind == JUMP else others:
+                self.slots[s], self.chosen[s] = self.options[i], i
+                self._walk(dict(seen), list(resume))
         self.slots[s], self.chosen[s] = None, -1
 
     def _emit(self) -> None:
@@ -209,17 +239,22 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds,
     the per-slot option indices (basic actions, positive tests, negative
     tests, each by action name, then ``!``, then ``#0``, ``#1``, ...).
 
-    Only the slots that the walk of the delay-free ``p`` along the sequence
-    reaches are branched on; a slot no run executes cannot change the
-    behavior, so one improvement check covers every filling of those
-    don't-cares, and each filling is returned.
+    Only the slots that the walk of the minimized delay-free ``p`` along
+    the sequence reaches are branched on; a slot no run executes cannot
+    change the behavior, so one improvement check covers every filling of
+    those don't-cares, and each filling is returned.  A walk that pairs a
+    slot with two target nodes stops at once, and a slot takes an option
+    only while the slots still free after it are at least as many as the
+    target's S and post nodes that the option leaves unpaired.  These
+    prunes drop only branches that can never finish, so the results,
+    their order and the budget's count are those of the unpruned walk.
 
     ``max_candidates`` bounds the sequences checked or emitted (a failed
     check counts one, a passed one every sequence it emits); the search
     raises ``SearchBudgetExceeded`` before exceeding it.  None means no
     bound.
     """
-    target = functional_abstraction(p)
+    target = minimize(functional_abstraction(p))
     # a delay-free p spends no delay anywhere, so improving on it is
     # functional equivalence, which every finished walk has established
     check = p if any(node.kind == DELAY for node in p.nodes) else None
@@ -257,10 +292,11 @@ def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     other, so the front can come out empty.
     """
     graphs = [extract_mechanistic(s) for s in seqs]
+    resolved = [(g, _delay_resolution(g)) for g in dict.fromkeys(graphs)]
     dropped: set[ThreadGraph] = set()
-    for g, h in combinations(dict.fromkeys(graphs), 2):
+    for (g, gr), (h, hr) in combinations(resolved, 2):
         # one walk decides ``strictly_improves`` both ways
-        _, forward, backward, exact = _walk(g, h)
+        _, forward, backward, exact = _walk_resolutions(gr, hr)
         if forward and not exact:
             dropped.add(h)
         if backward and not exact:

@@ -530,6 +530,26 @@ def perturb_delays(rng: random.Random, g: ThreadGraph, moves: int = 2) -> Thread
     return ThreadGraph(nodes, root[0])
 
 
+def split_node(rng: random.Random, g: ThreadGraph) -> ThreadGraph:
+    """``g`` with a copy of one random node, and each edge into that node
+    (the root counts as an edge) moved onto the copy with probability 1/2.
+    The result is bisimilar to ``g`` and, when the copy is reachable, not
+    minimal."""
+    i = rng.randrange(len(g))
+    nodes = list(g.nodes) + [g.nodes[i]]
+
+    def moved(j):
+        return len(g) if j == i and rng.random() < 0.5 else j
+
+    for k, node in enumerate(nodes):
+        if node.kind == DELAY:
+            nodes[k] = Node(DELAY, next=moved(node.next))
+        elif node.kind == POST:
+            nodes[k] = Node(POST, action=node.action, true=moved(node.true),
+                            false=moved(node.false))
+    return ThreadGraph(nodes, moved(g.root))
+
+
 # --- reference search --------------------------------------------------------
 # Slot-by-slot enumeration in index order, re-walking the target from
 # position 0 after every option: exponential in the slots a jump flies

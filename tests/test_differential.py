@@ -27,6 +27,8 @@ from pga_mech import (
     improves,
     make_post,
     minimize,
+    parse_pga,
+    parse_thread,
     search_implementations,
 )
 from pga_mech.threads import D, DELAY, _delay_resolution
@@ -44,6 +46,7 @@ from helpers import (
     reference_improves,
     reference_minimize,
     reference_search_implementations,
+    split_node,
 )
 
 
@@ -147,9 +150,12 @@ def test_search_matches_reference():
     # targets of at most 4 nodes: random delay-free graphs, the functional
     # behavior of a random sequence within the bounds (so the result is
     # rarely empty), and every third one a mechanistic behavior, with
-    # delays where the sequence jumps (so the improvement check runs)
+    # delays where the sequence jumps (so the improvement check runs);
+    # each also with one node split in two, which the search must minimize
     rng = random.Random(3007)
+    split_rng = random.Random(3008)
     shapes = set()
+    non_minimal = set()
     for k in range(50):
         alphabet = rng.choice((("a",), ("b",), ("a", "b")))
         n, m = rng.choice([(n, m) for n in range(4) for m in range(3) if n + m])
@@ -165,4 +171,22 @@ def test_search_matches_reference():
         found = search_implementations(target, bounds)
         assert found == reference_search_implementations(target, bounds), (target.nodes, bounds)
         shapes.add((m > 0, bool(found)))
+        split = split_node(split_rng, target)
+        split_found = search_implementations(split, bounds)
+        assert split_found == reference_search_implementations(split, bounds), (split.nodes, bounds)
+        fa = functional_abstraction(split)
+        if len(minimize(fa)) < len(fa):
+            non_minimal.add(bool(split_found))
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+    assert non_minimal == {False, True}
+
+
+def test_search_non_minimal_target():
+    # P and Q are bisimilar, and the one slot of (a)^w stands for both: a
+    # search that gives each slot one target node has to minimize first
+    target = parse_thread("P = a . Q; Q = a . P")
+    bounds = SearchBounds(0, 2, ("a",))
+    found = search_implementations(target, bounds)
+    assert len(found) == 18
+    assert found[0] == parse_pga("(a)^w")
+    assert found == reference_search_implementations(target, bounds)

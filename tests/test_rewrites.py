@@ -51,6 +51,7 @@ from pga_mech.instructions import (
     InstrSeq,
     instruction_at,
 )
+from pga_mech.search import _ShapeSearch
 
 from helpers import chain_witnesses, random_graph, random_seq, reference_pareto_front
 
@@ -482,6 +483,24 @@ def test_search_budget():
     with pytest.raises(ValueError, match="max_candidates=100000"):
         search_implementations(parse_thread("P = S"), SearchBounds(7, 0, ("a",)),
                                max_candidates=100000)
+
+
+def test_search_walk_is_pruned(monkeypatch):
+    # no sequence of (4, 4) implements this target, so every branch of the
+    # walk fails; an unpruned walk makes 637,511 steps before it is done
+    steps = 0
+    walk = _ShapeSearch._walk
+
+    def counted(self, *args):
+        nonlocal steps
+        steps += 1
+        return walk(self, *args)
+
+    monkeypatch.setattr(_ShapeSearch, "_walk", counted)
+    target = parse_thread("P = a ? Q : R; Q = b ? P : T; R = c . P; T = S")
+    bounds = SearchBounds(4, 4, ("a", "b", "c"))
+    assert search_implementations(target, bounds, max_candidates=1000) == []
+    assert steps < 250_000
 
 
 def test_search_bounds_validation():

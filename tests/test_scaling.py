@@ -10,7 +10,10 @@ walk per pair of results takes minutes; for functional extraction of many
 jumps that land on one long jump chain, where a chase that re-walks the
 chain from every jump is quadratic; and for the delay resolution of
 ``#1ⁿ;a;(#1)^w``, a long delay chain in front of a delay loop, where a
-resolution that chases from every node is quadratic."""
+resolution that chases from every node is quadratic.  And for ``bisimilar``
+and ``improves`` on ``#1;(a¹⁰⁰⁰)^w`` against ``(a¹⁰⁰¹)^w``, where the
+delay on the root edge decides "no" but the cores pair up a million
+ways."""
 
 import time
 
@@ -76,6 +79,13 @@ def test_delayed_loop_improves_and_compare_at_800():
     assert _timed(compare, slow, fast) is ComparisonVerdict.STRICTLY_IMPROVED_BY
     assert len(_timed(minimize, slow)) == 2 * n + 1
     assert len(_timed(minimize, fast)) == n + 1
+
+
+def test_delayed_root_decides_bisimilar_and_improves_at_1000():
+    slow = extract_mechanistic(parse_pga("#1;(" + ";".join(["a"] * 1000) + ")^w"))
+    fast = extract_mechanistic(parse_pga("(" + ";".join(["a"] * 1001) + ")^w"))
+    assert _timed(bisimilar, slow, fast, budget=0.05) is False
+    assert _timed(improves, slow, fast, budget=0.05) is False
 
 
 def test_search_branching_target_at_6_and_7():
