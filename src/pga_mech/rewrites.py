@@ -33,12 +33,13 @@ from .instructions import (
     pos_test,
     reachable_positions,
 )
-from .ordering import _IMPROVING, ComparisonVerdict, compare
+from .ordering import _FORWARD, _IMPROVING, ComparisonVerdict, _walk_resolutions, compare
 from .threads import (
     D,
     DELAY,
     S,
     ThreadGraph,
+    _delay_resolution,
 )
 
 __all__ = [
@@ -350,17 +351,24 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
     accepted: 1. unchain; 2. eliminate-jump-to-termination;
     3. expand-test-chain for each ``+b;#k;!`` site x matching test x ``r``
     = 1 up to the length, first on the sequence and then on its unrolling.
-    Each candidate costs an extraction and a ``compare``, so the cost of a
-    step grows steeply with the sequence's length.  ``rewrite_negtest_jump``
-    followed by unchain is not tried: its result is bisimilar to unchain's
-    (the moved jump is entered only from its test and lands where the old
-    one did), so it never improves when unchain does not.
+    Each candidate costs an extraction and a walk over the product of its
+    delay resolution with the sequence's, resolved once per step.  The
+    walk stops at the first edge where the candidate spends more delays,
+    so a candidate that does not improve is usually rejected early.
+    ``rewrite_negtest_jump`` followed by unchain is not tried: its result
+    is bisimilar to unchain's (the moved jump is entered only from its test
+    and lands where the old one did), so it never improves when unchain
+    does not.
     """
-    before = extract_mechanistic(seq)
+    before = _delay_resolution(extract_mechanistic(seq))
     for rule, site, candidate in _candidates(seq):
-        verdict = compare(extract_mechanistic(candidate), before)
-        if verdict is ComparisonVerdict.STRICTLY_IMPROVES:
-            return candidate, RewriteStep(rule, site, seq, candidate, verdict)
+        # forward implies functional and exact implies backward, so the
+        # candidate strictly improves exactly when forward and not backward
+        _, forward, backward, _ = _walk_resolutions(
+            _delay_resolution(extract_mechanistic(candidate)), before, _FORWARD)
+        if forward and not backward:
+            return candidate, RewriteStep(rule, site, seq, candidate,
+                                          ComparisonVerdict.STRICTLY_IMPROVES)
     return None
 
 

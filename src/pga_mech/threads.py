@@ -199,76 +199,51 @@ def _bisimulation_blocks(nodes: tuple[Node, ...]) -> list[int]:
     """Block id per node of the coarsest bisimulation, by Hopcroft's
     partition refinement over the letters next/true/false.
 
-    Blocks are contiguous ranges ``first[b]:end[b]`` of ``elems``; marked
-    members of a block sit in ``first[b]:mid[b]``.  Transitions are partial
-    (only delay nodes have ``next``), so every initial block starts on the
-    worklist (Valmari and Lehtinen, 2008).  A split always gives the new
-    block the smaller half and queues it, which is Hopcroft's rule both when
-    the old block is still queued and when it is not; a splitter is taken
-    as the block's members at the time it is popped.
+    Each block is a set of members.  Transitions are partial (only delay
+    nodes have ``next``), so every initial (kind, action) block starts on
+    the worklist (Valmari and Lehtinen, 2008).  A splitter is taken as its
+    block's members at the time it is popped.  A block that the splitter's
+    predecessors over one letter hit only partly keeps its id for the larger
+    part, and the smaller part takes a new id and is queued: that is
+    Hopcroft's rule whether or not the old block is still queued.
     """
-    n = len(nodes)
-    inverse: list[list[int]] = [[] for _ in range(n)]  # 3 * predecessor + letter
-    by_label: dict[tuple, list[int]] = {}
+    inverse: tuple[list[list[int]], ...] = tuple([[] for _ in nodes] for _ in range(3))
+    labels: dict[tuple, int] = {}
+    block = [labels.setdefault((node.kind, node.action), len(labels)) for node in nodes]
+    members: list[set[int]] = [set() for _ in labels]
     for i, node in enumerate(nodes):
-        by_label.setdefault((node.kind, node.action), []).append(i)
+        members[block[i]].add(i)
         if node.kind == DELAY:
-            inverse[node.next].append(3 * i)
+            inverse[0][node.next].append(i)
         elif node.kind == POST:
-            inverse[node.true].append(3 * i + 1)
-            inverse[node.false].append(3 * i + 2)
-    elems: list[int] = []
-    first: list[int] = []
-    end: list[int] = []
-    block = [0] * n
-    for members in by_label.values():
-        b = len(first)
-        first.append(len(elems))
-        elems.extend(members)
-        end.append(len(elems))
-        for i in members:
-            block[i] = b
-    mid = list(first)
-    loc = [0] * n
-    for k, i in enumerate(elems):
-        loc[i] = k
-    work = list(range(len(first)))
+            inverse[1][node.true].append(i)
+            inverse[2][node.false].append(i)
+    work = list(range(len(members)))
     while work:
-        b = work.pop()
-        preds: tuple[list[int], ...] = ([], [], [])
-        for i in elems[first[b]:end[b]]:
-            for code in inverse[i]:
-                preds[code % 3].append(code // 3)
-        for letter_preds in preds:
-            touched = []
-            for i in letter_preds:
-                c = block[i]
-                k, m = loc[i], mid[c]
-                if k < m:
+        splitter = list(members[work.pop()])
+        for letter_inverse in inverse:
+            # each node has at most one successor per letter, so no
+            # predecessor is hit twice
+            hit: dict[int, list[int]] = {}
+            for i in splitter:
+                for j in letter_inverse[i]:
+                    c = block[j]
+                    if c in hit:
+                        hit[c].append(j)
+                    else:
+                        hit[c] = [j]
+            for c, part in hit.items():
+                rest = members[c]
+                if len(part) == len(rest):
                     continue
-                j = elems[m]
-                elems[k], elems[m] = j, i
-                loc[j], loc[i] = k, m
-                mid[c] = m + 1
-                if m == first[c]:
-                    touched.append(c)
-            for c in touched:
-                lo, m, hi = first[c], mid[c], end[c]
-                mid[c] = lo
-                if m == hi:
-                    continue
-                new = len(first)
-                if m - lo <= hi - m:
-                    first.append(lo)
-                    end.append(m)
-                    first[c] = mid[c] = m
-                else:
-                    first.append(m)
-                    end.append(hi)
-                    end[c] = m
-                mid.append(first[new])
-                for k in range(first[new], end[new]):
-                    block[elems[k]] = new
+                smaller = set(part)
+                if 2 * len(part) > len(rest):
+                    smaller = rest - smaller
+                rest -= smaller
+                new = len(members)
+                members.append(smaller)
+                for j in smaller:
+                    block[j] = new
                 work.append(new)
     return block
 
@@ -362,19 +337,19 @@ class ThreadSyntaxError(ValueError):
 
 _EQ_NAME = r"([A-Za-z][A-Za-z0-9_]*)"  # an equation name, captured
 _EQ_RE = re.compile(rf"\s*{_EQ_NAME}\s*=\s*(.*?)\s*\Z")
-_SIGMA_RE = re.compile(rf"sigma\s*\(\s*{_EQ_NAME}\s*\)\Z")
-_POST_RE = re.compile(rf"({_NAME})\s*\?\s*{_EQ_NAME}\s*:\s*{_EQ_NAME}\Z")
-_PREFIX_RE = re.compile(rf"({_NAME})\s*\.\s*{_EQ_NAME}\Z")
+# groups: S or D, the sigma target, the action, the true and false targets
+# of a branch, and the target of an action prefix
+_RHS_RE = re.compile(rf"(?:([SD])|sigma\s*\(\s*{_EQ_NAME}\s*\)|({_NAME})\s*"
+                     rf"(?:\?\s*{_EQ_NAME}\s*:\s*{_EQ_NAME}|\.\s*{_EQ_NAME}))\Z")
 
 
 def parse_thread(text: str) -> ThreadGraph:
     """Parse thread equations, one per line (``;`` also separates equations,
-    ``#`` starts a comment that runs to the end of the line, ``;`` included).  The first equation's left-hand side is the
-    root.  Forms: ``S``, ``D``, ``sigma(N)``, ``a ? N1 : N2`` and the
-    action-prefix sugar ``a . N``."""
-    defs: dict[str, tuple] = {}
-    lines: dict[str, int] = {}
-    order: list[str] = []
+    ``#`` starts a comment that runs to the end of the line, ``;`` included).
+    The first equation's left-hand side is the root.  Forms: ``S``, ``D``,
+    ``sigma(N)``, ``a ? N1 : N2`` and the action-prefix sugar ``a . N``."""
+    equations: list[tuple[tuple, int]] = []  # right-hand side groups, line
+    index: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.split("\n"), 1):
         for segment in raw_line.partition("#")[0].split(";"):
             if not segment.strip():
@@ -382,49 +357,40 @@ def parse_thread(text: str) -> ThreadGraph:
             m = _EQ_RE.match(segment)
             if not m:
                 raise ThreadSyntaxError(f"expected 'NAME = ...', got {segment.strip()!r}", lineno)
-            name, rhs = m.group(1), m.group(2)
+            name, rhs = m.groups()
             if name in _RESERVED_NAMES:
                 raise ThreadSyntaxError(f"{name!r} is reserved", lineno)
-            if name in defs:
+            if name in index:
                 raise ThreadSyntaxError(f"duplicate definition of {name!r}", lineno)
-            if rhs == "S":
-                defs[name] = (S,)
-            elif rhs == "D":
-                defs[name] = (D,)
-            elif (m2 := _SIGMA_RE.match(rhs)):
-                defs[name] = (DELAY, m2.group(1))
-            elif (m2 := _POST_RE.match(rhs)):
-                defs[name] = (POST, m2.group(1), m2.group(2), m2.group(3))
-            elif (m2 := _PREFIX_RE.match(rhs)):
-                defs[name] = (POST, m2.group(1), m2.group(2), m2.group(2))
-            else:
+            form = _RHS_RE.match(rhs)
+            if not form:
                 raise ThreadSyntaxError(f"cannot parse right-hand side {rhs!r}", lineno)
-            lines[name] = lineno
-            order.append(name)
-    if not order:
+            index[name] = len(equations)
+            equations.append((form.groups(), lineno))
+    if not equations:
         raise ThreadSyntaxError("no equations")
-    index = {name: i for i, name in enumerate(order)}
 
-    def ref(name: str, user: str) -> int:
+    def ref(name: str, lineno: int) -> int:
         if name in _RESERVED_NAMES:
             form = "sigma(N)" if name == "sigma" else name
             raise ThreadSyntaxError(f"{name!r} is reserved and cannot be referred to; "
-                                    f"write 'X = {form}' and refer to X", lines[user])
+                                    f"write 'X = {form}' and refer to X", lineno)
         if name not in index:
-            raise ThreadSyntaxError(f"undefined name {name!r}", lines[user])
+            raise ThreadSyntaxError(f"undefined name {name!r}", lineno)
         return index[name]
 
+    # the pattern has checked every action name, so nodes are built unchecked
     nodes = []
-    for name in order:
-        d = defs[name]
-        if d[0] == S:
-            nodes.append(Node(S))
-        elif d[0] == D:
-            nodes.append(Node(D))
-        elif d[0] == DELAY:
-            nodes.append(Node(DELAY, next=ref(d[1], name)))
+    for (terminal, delay, action, true, false, prefix), lineno in equations:
+        if terminal:
+            nodes.append(_S_NODE if terminal == S else _D_NODE)
+        elif delay:
+            nodes.append(_new(Node, (DELAY, None, ref(delay, lineno), None, None)))
+        elif prefix:
+            target = ref(prefix, lineno)
+            nodes.append(_new(Node, (POST, action, None, target, target)))
         else:
-            nodes.append(Node(POST, action=d[1], true=ref(d[2], name), false=ref(d[3], name)))
+            nodes.append(_new(Node, (POST, action, None, ref(true, lineno), ref(false, lineno))))
     return ThreadGraph(nodes, 0)
 
 

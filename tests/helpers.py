@@ -2,12 +2,14 @@
 co-simulation, the brute-force rule-closure oracle for the improvement
 preorder on finite thread terms, and the slow reference algorithms (Moore
 refinement, the liveness-based divergence collapse, the greatest-fixpoint
-preorder, the index-order implementation search and the all-pairs Pareto
-front) that the library is checked against."""
+preorder, the index-order implementation search, the all-pairs Pareto
+front and the form-by-form thread parser) that the library is checked
+against."""
 
 from __future__ import annotations
 
 import random
+import re
 
 from pga_mech import (
     ComparisonVerdict,
@@ -29,6 +31,7 @@ from pga_mech import (
     TERMINATE,
 )
 from pga_mech.instructions import (
+    _NAME,
     BASIC,
     JUMP,
     NEG_TEST,
@@ -37,7 +40,7 @@ from pga_mech.instructions import (
     Instruction,
     instruction_at,
 )
-from pga_mech.threads import D, DELAY, POST, S, Node
+from pga_mech.threads import D, DELAY, POST, S, Node, ThreadSyntaxError
 
 ACTIONS = ("a", "b", "c")
 
@@ -670,3 +673,72 @@ def reference_pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     graphs = [extract_mechanistic(s) for s in seqs]
     return [s for i, s in enumerate(seqs)
             if not any(strictly_improves(h, graphs[i]) for j, h in enumerate(graphs) if j != i)]
+
+
+# --- reference thread parser -------------------------------------------------
+
+_REF_EQ_NAME = r"([A-Za-z][A-Za-z0-9_]*)"
+_REF_EQ_RE = re.compile(rf"\s*{_REF_EQ_NAME}\s*=\s*(.*?)\s*\Z")
+_REF_SIGMA_RE = re.compile(rf"sigma\s*\(\s*{_REF_EQ_NAME}\s*\)\Z")
+_REF_POST_RE = re.compile(rf"({_NAME})\s*\?\s*{_REF_EQ_NAME}\s*:\s*{_REF_EQ_NAME}\Z")
+_REF_PREFIX_RE = re.compile(rf"({_NAME})\s*\.\s*{_REF_EQ_NAME}\Z")
+_REF_RESERVED = {"S", "D", "sigma"}
+
+
+def reference_parse_thread(text: str) -> ThreadGraph:
+    """``parse_thread`` as one pattern per right-hand-side form, tried in
+    turn, with every node built through the validating ``Node``."""
+    defs: dict[str, tuple] = {}
+    lines: dict[str, int] = {}
+    order: list[str] = []
+    for lineno, raw_line in enumerate(text.split("\n"), 1):
+        for segment in raw_line.partition("#")[0].split(";"):
+            if not segment.strip():
+                continue
+            m = _REF_EQ_RE.match(segment)
+            if not m:
+                raise ThreadSyntaxError(f"expected 'NAME = ...', got {segment.strip()!r}", lineno)
+            name, rhs = m.group(1), m.group(2)
+            if name in _REF_RESERVED:
+                raise ThreadSyntaxError(f"{name!r} is reserved", lineno)
+            if name in defs:
+                raise ThreadSyntaxError(f"duplicate definition of {name!r}", lineno)
+            if rhs == "S":
+                defs[name] = (S,)
+            elif rhs == "D":
+                defs[name] = (D,)
+            elif (m2 := _REF_SIGMA_RE.match(rhs)):
+                defs[name] = (DELAY, m2.group(1))
+            elif (m2 := _REF_POST_RE.match(rhs)):
+                defs[name] = (POST, m2.group(1), m2.group(2), m2.group(3))
+            elif (m2 := _REF_PREFIX_RE.match(rhs)):
+                defs[name] = (POST, m2.group(1), m2.group(2), m2.group(2))
+            else:
+                raise ThreadSyntaxError(f"cannot parse right-hand side {rhs!r}", lineno)
+            lines[name] = lineno
+            order.append(name)
+    if not order:
+        raise ThreadSyntaxError("no equations")
+    index = {name: i for i, name in enumerate(order)}
+
+    def ref(name: str, user: str) -> int:
+        if name in _REF_RESERVED:
+            form = "sigma(N)" if name == "sigma" else name
+            raise ThreadSyntaxError(f"{name!r} is reserved and cannot be referred to; "
+                                    f"write 'X = {form}' and refer to X", lines[user])
+        if name not in index:
+            raise ThreadSyntaxError(f"undefined name {name!r}", lines[user])
+        return index[name]
+
+    nodes = []
+    for name in order:
+        d = defs[name]
+        if d[0] == S:
+            nodes.append(Node(S))
+        elif d[0] == D:
+            nodes.append(Node(D))
+        elif d[0] == DELAY:
+            nodes.append(Node(DELAY, next=ref(d[1], name)))
+        else:
+            nodes.append(Node(POST, action=d[1], true=ref(d[2], name), false=ref(d[3], name)))
+    return ThreadGraph(nodes, 0)

@@ -31,7 +31,7 @@ from pga_mech import (
     parse_thread,
     search_implementations,
 )
-from pga_mech.threads import D, DELAY, _delay_resolution
+from pga_mech.threads import D, DELAY, ThreadGraph, _delay_resolution
 
 from helpers import (
     perturb_delays,
@@ -87,6 +87,34 @@ def test_relations_match_reference_on_delay_perturbed_pairs():
     assert seen == set(ComparisonVerdict)
 
 
+def _dense_seq(rng, count):
+    """A sequence of about ``count`` instructions that keeps most positions
+    reachable: tests skip one position, jumps are short and ``!`` is rare
+    and follows a test."""
+    def instr():
+        roll, a = rng.random(), rng.choice("abc")
+        if roll < 0.02:
+            return f"-{a};!"
+        if roll < 0.4:
+            return a
+        if roll < 0.6:
+            return "+" + a
+        if roll < 0.8:
+            return "-" + a
+        return f"#{rng.randint(1, 3)}"
+
+    cut = rng.randint(1, count - 1)
+    ins = [instr() for _ in range(count)]
+    return parse_pga(";".join(ins[:cut]) + ";(" + ";".join(ins[cut:]) + ")^w")
+
+
+def _check_minimize(g):
+    m = minimize(g)
+    assert m == reference_minimize(g), g.nodes
+    # the result is already numbered breadth-first from root 0
+    assert ThreadGraph(m.nodes, 0).nodes == m.nodes
+
+
 def test_minimize_matches_reference():
     rng = random.Random(3003)
     for k in range(1500):
@@ -94,8 +122,15 @@ def test_minimize_matches_reference():
             g = random_graph(rng, max_nodes=10)
         else:
             g = extract_mechanistic(random_seq(rng, max_prefix=8, max_cycle=8))
-        g = perturb_delays(rng, g, moves=rng.randint(0, 3))
-        assert minimize(g) == reference_minimize(g), g.nodes
+        _check_minimize(perturb_delays(rng, g, moves=rng.randint(0, 3)))
+    # larger graphs, where blocks split many times and splitters are still
+    # queued when they split
+    for _ in range(150):
+        _check_minimize(random_graph(rng, max_nodes=60))
+    for _ in range(40):
+        g = extract_mechanistic(_dense_seq(rng, rng.randint(20, 330)))
+        for h in (g, collapse_divergence(g), functional_abstraction(g)):
+            _check_minimize(h)
 
 
 def _chase(g, i):

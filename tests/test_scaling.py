@@ -13,7 +13,9 @@ chain from every jump is quadratic; and for the delay resolution of
 resolution that chases from every node is quadratic.  And for ``bisimilar``
 and ``improves`` on ``#1;(a¹⁰⁰⁰)^w`` against ``(a¹⁰⁰¹)^w``, where the
 delay on the root edge decides "no" but the cores pair up a million
-ways."""
+ways.  And for ``improve_step`` from the 259-instruction member of the
+``(+a;#4;+b;#4;!)^w`` chain, whose 128 candidates each cost a full product
+walk when none stops early."""
 
 import time
 
@@ -27,6 +29,7 @@ from pga_mech import (
     extract_mechanistic,
     functional_abstraction,
     has_adjacent_delays,
+    improve_step,
     improves,
     make_post,
     make_prefix,
@@ -35,6 +38,7 @@ from pga_mech import (
     pareto_front,
     parse_pga,
     parse_thread,
+    print_pga,
     search_implementations,
 )
 
@@ -86,6 +90,19 @@ def test_delayed_root_decides_bisimilar_and_improves_at_1000():
     fast = extract_mechanistic(parse_pga("(" + ";".join(["a"] * 1001) + ")^w"))
     assert _timed(bisimilar, slow, fast, budget=0.05) is False
     assert _timed(improves, slow, fast, budget=0.05) is False
+
+
+def _chain_member(copies: int) -> str:
+    """The member of the ``(+a;#4;+b;#4;!)^w`` improvement chain with
+    ``copies`` copies of ``-b;!``."""
+    return f"(+a;#{2 * copies + 4};" + "-b;!;" * copies + "+b;#4;!)^w"
+
+
+def test_improve_step_from_chain_member_of_259():
+    seq = parse_pga(_chain_member(127))
+    better, step = _timed(improve_step, seq)
+    assert print_pga(better) == _chain_member(255)
+    assert step.evidence is ComparisonVerdict.STRICTLY_IMPROVES
 
 
 def test_search_branching_target_at_6_and_7():

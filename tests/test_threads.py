@@ -24,7 +24,7 @@ from pga_mech import (
 )
 from pga_mech.threads import D, DELAY, Node, POST, S, ThreadGraph
 
-from helpers import random_graph
+from helpers import random_graph, reference_parse_thread
 
 
 def test_constructor_garbage_collects():
@@ -85,20 +85,19 @@ def test_parse_thread_comments():
 
 
 def test_parse_thread_errors():
-    with pytest.raises(ThreadSyntaxError):
-        parse_thread("")
+    for text, message in (("", "no equations"),
+                          ("P = S\nP = D", "duplicate definition of 'P' at line 2"),
+                          ("S = S", "'S' is reserved at line 1"),
+                          ("P = a ?? Q : R", "cannot parse right-hand side 'a ?? Q : R' at line 1")):
+        with pytest.raises(ThreadSyntaxError) as error:
+            parse_thread(text)
+        assert str(error.value) == message, text
     with pytest.raises(ThreadSyntaxError) as undefined:
         parse_thread("P = a ? Q : R\nQ = S")  # R undefined
     assert undefined.value.line == 1
     with pytest.raises(ThreadSyntaxError) as undefined:
         parse_thread("P = a . Q\nQ = sigma(R)\nT = b ? R : P")
     assert undefined.value.line == 2 and "'R'" in str(undefined.value)
-    with pytest.raises(ThreadSyntaxError):
-        parse_thread("P = S\nP = D")
-    with pytest.raises(ThreadSyntaxError):
-        parse_thread("S = S")
-    with pytest.raises(ThreadSyntaxError):
-        parse_thread("P = a ?? Q : R")
     # a reserved name used as a reference names the form to write instead
     for text, name, form, line in (("P = a ? P : D", "D", "D", 1),
                                    ("P = a . Q\nQ = sigma(S)", "S", "S", 2),
@@ -108,6 +107,70 @@ def test_parse_thread_errors():
         assert reserved.value.line == line, text
         assert f"{name!r} is reserved" in str(reserved.value), text
         assert f"'X = {form}'" in str(reserved.value), text
+
+
+_EQ_NAMES = ("P", "Q", "R", "T1", "x_y")
+_BAD_NAMES = ("S", "D", "sigma", "U", "1P", "é", "")
+_ACTIONS = ("a", "b", "x.y", "sigma", "a1_.b", "S", "A", "é", "a-b", "")
+_SPACE = ("", "", "", " ", "  ", "\t", "\r", "\u00a0", "\u2003", "\x0b")
+_SEPARATORS = ("\n", "\n", ";", " ; ", "\n\n", "  # note; P = S\n", "#\n")
+_JUNK = ("#", ";", "=", "\n", "?", ":", ".", "(", ")", "??", "sigma", "S")
+
+
+def _thread_soup(rng: random.Random) -> str:
+    """Thread text from a soup of equations: mostly well-formed, with
+    whitespace around every token, reserved, undefined or malformed names
+    and actions at a small share, and now and then a junk token."""
+    def sp() -> str:
+        return rng.choice(_SPACE)
+
+    names = _EQ_NAMES[:rng.randint(1, len(_EQ_NAMES))]
+
+    def name() -> str:
+        return rng.choice(_BAD_NAMES if rng.random() < 0.04 else names)
+
+    def action() -> str:
+        return rng.choice(_ACTIONS if rng.random() < 0.08 else _ACTIONS[:5])
+
+    def rhs() -> str:
+        roll = rng.random()
+        if roll < 0.25:
+            return rng.choice("SD")
+        if roll < 0.4:
+            return f"sigma{sp()}({sp()}{name()}{sp()})"
+        if roll < 0.7:
+            return f"{action()}{sp()}?{sp()}{name()}{sp()}:{sp()}{name()}"
+        return f"{action()}{sp()}.{sp()}{name()}"
+
+    lhs = [rng.choice(_BAD_NAMES) if rng.random() < 0.02 else n for n in names]
+    if rng.random() < 0.05:
+        lhs.append(rng.choice(names))
+    rng.shuffle(lhs)
+    text = "".join(f"{sp()}{n}{sp()}={sp()}{rhs()}{sp()}{rng.choice(_SEPARATORS)}" for n in lhs)
+    if rng.random() < 0.1:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_JUNK) + text[at:]
+    return text
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text).nodes
+    except ThreadSyntaxError as exc:
+        return str(exc), exc.line
+
+
+def test_parse_thread_matches_reference():
+    # the one-pattern parser must build the graph the form-by-form parser
+    # builds, or raise its first error with the same message and line
+    rng = random.Random(1501)
+    valid = 0
+    for _ in range(20_000):
+        text = _thread_soup(rng)
+        expected = _parsed(reference_parse_thread, text)
+        assert _parsed(parse_thread, text) == expected, text
+        valid += isinstance(expected[0], Node)
+    assert 4_000 < valid < 16_000
 
 
 def test_print_thread_examples():
