@@ -12,14 +12,7 @@ deadlock functionally and a delay loop mechanistically.
 
 from __future__ import annotations
 
-from .instructions import (
-    JUMP,
-    TERMINATION,
-    InstrSeq,
-    _branches,
-    _chase,
-    _slot,
-)
+from .instructions import BASIC, JUMP, NEG_TEST, POS_TEST, TERMINATION, InstrSeq, _chase
 from .threads import _D_NODE, _S_NODE, DELAY, POST, Node, ThreadGraph, _new
 
 __all__ = ["extract_functional", "extract_mechanistic"]
@@ -38,73 +31,87 @@ def extract_mechanistic(seq: InstrSeq) -> ThreadGraph:
 def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
     code = seq.prefix + (seq.cycle or ())
     n, m = seq.prefix_len, seq.cycle_len
-    # ids are handed out in the order of the graph constructor's
-    # breadth-first renumbering: the root first, then the new successors of
-    # each post or delay node in id order, as ``fill`` is worked off first
-    # in, first out; so the graph is built once and never renumbered.
-    # ``node_at`` does not call itself: a closure that refers to itself
-    # holds its own cell, and that reference cycle would keep ``nodes``,
-    # ``memo`` and ``fill`` alive after the call until the cyclic collector
-    # ran, so a transparent jump builds the node it lands on in place
-    nodes: list = []  # post and delay nodes are None until filled
-    memo: dict[int, int] = {}
-    fill: list[tuple[int, int]] = []  # (position, id) of post and delay nodes
-    d_id = -1
-
-    def alloc(node) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
-
-    def shared_d() -> int:
-        nonlocal d_id
-        if d_id < 0:
-            d_id = alloc(_D_NODE)
-        return d_id
-
-    def node_at(p: int) -> int:
-        p = _slot(n, m, p)
-        if p is None:
-            return shared_d()
-        if p in memo:
-            return memo[p]
+    # Each node stands for a key: the canonical position of its instruction,
+    # or -1 for the shared D node, which a run off the end, ``#0`` and a
+    # cycle of transparent jumps all reach.  Each successor position is
+    # resolved to its key (functionally, a jump resolves to where its chain
+    # lands) before the id lookup in ``ids``; a key met for the first time
+    # takes the next id and joins ``order``.  ``order`` is worked off first
+    # in, first out, so ids are the graph constructor's breadth-first
+    # numbering and the graph is built once, never renumbered.  The loop
+    # calls no closure: a closure that refers to itself holds its own cell,
+    # and that reference cycle would keep the tables alive after the call
+    # until the cyclic collector ran.
+    landing: dict[int, int] = {}  # jump position -> key of its landing
+    root = 0
+    ins = code[0]
+    if ins.kind == JUMP and not (with_delays and ins.counter):
+        root = _land(code, n, m, 0, landing)
+    order = [root]  # the key of each node, in id order
+    ids = {root: 0}
+    nodes: list[Node] = []
+    for p in order:  # also visits the keys appended meanwhile
+        if p < 0:
+            nodes.append(_D_NODE)
+            continue
         ins = code[p]
-        if ins.kind == TERMINATION:
-            nid = alloc(_S_NODE)
-        elif ins.kind != JUMP:
-            nid = alloc(None)
-            fill.append((p, nid))
-        elif ins.counter == 0:
-            nid = shared_d()
-        elif with_delays:
-            nid = alloc(None)
-            fill.append((p, nid))
+        kind = ins.kind
+        if kind == TERMINATION:
+            nodes.append(_S_NODE)
+            continue
+        # the successor for a true reply (or the jump's target) comes first
+        if kind == JUMP:
+            q = p + ins.counter
+        elif kind == NEG_TEST:
+            q = p + 2
         else:
-            # transparent jump: every jump of the chain shares the node it
-            # lands on, and a chain that reaches a memoized position stops
-            # there, which keeps extraction linear; a cycle of jumps is
-            # deadlock.  Any other landing holds ``!`` or an action
-            passed: set[int] = set()
-            t = _chase(code, n, m, p, memo, passed)
-            if t in memo:
-                nid = memo[t]
-            elif t is None or t in passed or code[t].kind == JUMP:  # or #0
-                nid = shared_d()
-            elif code[t].kind == TERMINATION:
-                nid = memo[t] = alloc(_S_NODE)
-            else:
-                nid = memo[t] = alloc(None)
-                fill.append((t, nid))
-            for q in passed:
-                memo[q] = nid
-        memo[p] = nid
-        return nid
-
-    node_at(0)
-    for p, nid in fill:  # also visits the entries node_at appends meanwhile
-        ins = code[p]
-        if ins.kind == JUMP:  # delay for a jump
-            nodes[nid] = _new(Node, (DELAY, None, node_at(p + ins.counter), None, None))
-        else:
-            t, f = _branches(p, ins)
-            nodes[nid] = _new(Node, (POST, ins.action, None, node_at(t), node_at(f)))
+            q = p + 1
+        if q >= n:
+            q = n + (q - n) % m if m else -1
+        if q >= 0:
+            target = code[q]
+            if target.kind == JUMP and not (with_delays and target.counter):
+                q = landing[q] if q in landing else _land(code, n, m, q, landing)
+        t = ids.get(q)
+        if t is None:
+            t = ids[q] = len(order)
+            order.append(q)
+        if kind == JUMP:  # a delay for the jump
+            nodes.append(_new(Node, (DELAY, None, t, None, None)))
+            continue
+        if kind == BASIC:  # either reply continues at the next position
+            nodes.append(_new(Node, (POST, ins.action, None, t, t)))
+            continue
+        q = p + 2 if kind == POS_TEST else p + 1
+        if q >= n:
+            q = n + (q - n) % m if m else -1
+        if q >= 0:
+            target = code[q]
+            if target.kind == JUMP and not (with_delays and target.counter):
+                q = landing[q] if q in landing else _land(code, n, m, q, landing)
+        f = ids.get(q)
+        if f is None:
+            f = ids[q] = len(order)
+            order.append(q)
+        nodes.append(_new(Node, (POST, ins.action, None, t, f)))
     return ThreadGraph._canonical(nodes)
+
+
+def _land(code, n: int, m: int, p: int, landing: dict[int, int]) -> int:
+    """The key that the jump at canonical position ``p`` resolves to when
+    jumps are transparent: the position where its chain of jumps lands, or
+    -1 (deadlock) for a run off the end, ``#0`` or a cycle of jumps.  Every
+    jump of the chain is recorded in ``landing``, and a chain that reaches
+    a recorded jump stops there, which keeps extraction linear."""
+    passed: set[int] = set()
+    t = _chase(code, n, m, p, landing, passed)
+    if t in landing:
+        key = landing[t]
+    elif t is None or code[t].kind == JUMP:  # #0, or a passed jump: a cycle
+        key = -1
+    else:
+        key = t
+    for q in passed:
+        landing[q] = key
+    landing[p] = key
+    return key

@@ -8,12 +8,16 @@ and branch on the Boolean reply.  A ``Node`` is a tuple of its five fields
 (and compares equal to that plain tuple); its constructor validates the
 kind, the action name and the successor fields.  Graphs are immutable; the
 constructor garbage-collects unreachable nodes and renumbers breadth-first
-from the root, so structurally equal graphs compare equal.
+from the root, so structurally equal graphs compare equal.  Library code
+whose nodes are known to be valid and in range skips the checks:
+``ThreadGraph._renumbered`` is the constructor's one-pass breadth-first
+renumbering alone, which also builds ``minimize``'s quotient, and
+``ThreadGraph._canonical`` takes nodes already numbered that way, as
+extraction builds them.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections import namedtuple
 
@@ -102,20 +106,51 @@ class ThreadGraph:
         nodes = list(nodes)
         if not 0 <= root < len(nodes):
             raise ValueError("root is not a node")
-        succ = [node.successors() for node in nodes]
-        for targets in succ:
-            for s in targets:
+        for node in nodes:
+            for s in node.successors():
                 if s is None or not 0 <= s < len(nodes):
                     raise ValueError("edge target is not a node")
-        order = [root]
-        index = {root: 0}
-        for old in order:  # the loop also visits the ids appended here
-            for s in succ[old]:
-                if s not in index:
-                    index[s] = len(order)
-                    order.append(s)
-        self.nodes: tuple[Node, ...] = tuple(_relabel(nodes[old], index) for old in order)
+        self.nodes: tuple[Node, ...] = ThreadGraph._renumbered(nodes, root).nodes
         self.root: int = 0
+
+    @classmethod
+    def _renumbered(cls, nodes, root: int, via=None) -> ThreadGraph:
+        """The graph of the nodes reachable from ``root``, numbered
+        breadth-first in one pass, as the constructor numbers it, with
+        nothing checked: every edge must be in range.  With ``via``, a node
+        id per node id, an edge into ``i`` (the root included) goes to
+        ``via[i]`` instead."""
+        if via is None:
+            via = range(len(nodes))
+        root = via[root]
+        order = [root]  # the old id of each new node
+        index = [-1] * len(nodes)  # the new id of each old node met so far
+        index[root] = 0
+        out = []
+        for old in order:  # the loop also visits the ids appended here
+            node = nodes[old]
+            kind = node.kind
+            if kind == POST:
+                t, f = via[node.true], via[node.false]
+                new_t = index[t]
+                if new_t < 0:
+                    new_t = index[t] = len(order)
+                    order.append(t)
+                new_f = index[f]
+                if new_f < 0:
+                    new_f = index[f] = len(order)
+                    order.append(f)
+                out.append(_new(Node, (POST, node.action, None, new_t, new_f)))
+            elif kind == DELAY:
+                t = via[node.next]
+                new_t = index[t]
+                if new_t < 0:
+                    new_t = index[t] = len(order)
+                    order.append(t)
+                out.append(_new(Node, (DELAY, None, new_t, None, None)))
+            else:
+                out.append(node)
+        return cls._canonical(out)
 
     @classmethod
     def _canonical(cls, nodes) -> ThreadGraph:
@@ -143,17 +178,6 @@ class ThreadGraph:
         return print_thread(self)
 
 
-def _relabel(node: Node, new_id) -> Node:
-    """``node`` with each successor ``i`` renamed ``new_id[i]``; ``new_id``
-    is any table indexed by node id (a list, a dict or a range)."""
-    kind = node.kind
-    if kind == POST:
-        return _new(Node, (POST, node.action, None, new_id[node.true], new_id[node.false]))
-    if kind == DELAY:
-        return _new(Node, (DELAY, None, new_id[node.next], None, None))
-    return node
-
-
 # --- small constructors ----------------------------------------------------
 
 def make_s() -> ThreadGraph:
@@ -166,8 +190,14 @@ def make_d() -> ThreadGraph:
 
 def _shifted(g: ThreadGraph, shift: int) -> list[Node]:
     """The nodes of ``g`` with every id moved up by ``shift``."""
-    new_id = range(shift, shift + len(g.nodes))
-    return [_relabel(node, new_id) for node in g.nodes]
+    out = []
+    for node in g.nodes:
+        if node.kind == POST:
+            node = _new(Node, (POST, node.action, None, node.true + shift, node.false + shift))
+        elif node.kind == DELAY:
+            node = _new(Node, (DELAY, None, node.next + shift, None, None))
+        out.append(node)
+    return out
 
 
 def make_delay(inner: ThreadGraph, count: int = 1) -> ThreadGraph:
@@ -183,7 +213,7 @@ def make_post(action: str, on_true: ThreadGraph, on_false: ThreadGraph) -> Threa
     """Branch on ``action``: continue as ``on_true``/``on_false``."""
     f_shift = 1 + len(on_true.nodes)
     root = Node(POST, action=action, true=on_true.root + 1, false=on_false.root + f_shift)
-    return ThreadGraph([root] + _shifted(on_true, 1) + _shifted(on_false, f_shift), 0)
+    return ThreadGraph._renumbered([root] + _shifted(on_true, 1) + _shifted(on_false, f_shift), 0)
 
 
 def make_prefix(action: str, inner: ThreadGraph) -> ThreadGraph:
@@ -249,14 +279,13 @@ def _bisimulation_blocks(nodes: tuple[Node, ...]) -> list[int]:
 
 
 def minimize(g: ThreadGraph) -> ThreadGraph:
-    """Smallest graph bisimilar to ``g`` (quotient by bisimilarity).  The
-    constructor's breadth-first renumbering makes the result canonical."""
-    blocks = _bisimulation_blocks(g.nodes)
-    rep: dict[int, int] = {}
-    for i, b in enumerate(blocks):
-        rep.setdefault(b, i)
-    nodes = [_relabel(g.nodes[rep[b]], blocks) for b in range(len(rep))]
-    return ThreadGraph(nodes, blocks[g.root])
+    """Smallest graph bisimilar to ``g`` (quotient by bisimilarity).  It is
+    built in one breadth-first pass from the root's block, each edge sent
+    to one member of its target's block, so it is numbered as the
+    constructor would number it and is canonical."""
+    block = _bisimulation_blocks(g.nodes)
+    member = dict(zip(block, range(len(block))))  # the last member of each block
+    return ThreadGraph._renumbered(g.nodes, g.root, list(map(member.__getitem__, block)))
 
 
 # --- divergence and delay resolution ---------------------------------------
@@ -307,20 +336,17 @@ def collapse_divergence(g: ThreadGraph) -> ThreadGraph:
     nodes, resolution = _delay_resolution(g)
     d_id = len(g)
     keep = [d_id if core == d_id else i for i, (_, core) in enumerate(resolution)]
-    # a live delay leads to a live node, so only post nodes have edges into
-    # divergent nodes; redirected, those edges leave them all unreachable
-    return ThreadGraph([_relabel(node, keep) if node.kind == POST
-                        and (keep[node.true] == d_id or keep[node.false] == d_id) else node
-                        for node in nodes], keep[g.root])
+    # redirected to D, the edges into divergent nodes leave them unreachable
+    return ThreadGraph._renumbered(nodes, g.root, keep)
 
 
 def functional_abstraction(g: ThreadGraph) -> ThreadGraph:
     """Erase all delays: route every edge into a delay node to that node's
     first non-delay descendant, and every divergent one to deadlock."""
     nodes, resolution = _delay_resolution(g)
-    core = [c for _, c in resolution]
-    # the delay nodes are left unreachable, and the constructor drops them
-    return ThreadGraph([_relabel(node, core) for node in nodes], core[g.root])
+    # redirected to their cores, the edges into delay nodes leave them
+    # all unreachable
+    return ThreadGraph._renumbered(nodes, g.root, [c for _, c in resolution])
 
 
 # --- text format ------------------------------------------------------------
@@ -379,7 +405,8 @@ def parse_thread(text: str) -> ThreadGraph:
             raise ThreadSyntaxError(f"undefined name {name!r}", lineno)
         return index[name]
 
-    # the pattern has checked every action name, so nodes are built unchecked
+    # the pattern has checked every action name and ``ref`` every target,
+    # so nodes are built and numbered unchecked
     nodes = []
     for (terminal, delay, action, true, false, prefix), lineno in equations:
         if terminal:
@@ -391,7 +418,7 @@ def parse_thread(text: str) -> ThreadGraph:
             nodes.append(_new(Node, (POST, action, None, target, target)))
         else:
             nodes.append(_new(Node, (POST, action, None, ref(true, lineno), ref(false, lineno))))
-    return ThreadGraph(nodes, 0)
+    return ThreadGraph._renumbered(nodes, 0)
 
 
 def print_thread(g: ThreadGraph) -> str:
@@ -433,6 +460,7 @@ def to_dot(g: ThreadGraph) -> str:
 
 
 def graph_to_dict(g: ThreadGraph) -> dict:
+    """The graph as JSON data: the root and one entry per node."""
     nodes = []
     for i, node in enumerate(g.nodes):
         entry: dict = {"id": i, "kind": node.kind}
@@ -447,4 +475,16 @@ def graph_to_dict(g: ThreadGraph) -> dict:
 
 
 def to_json(g: ThreadGraph) -> str:
-    return json.dumps(graph_to_dict(g))
+    """``json.dumps(graph_to_dict(g))``, written directly: kinds are fixed
+    words and action names need no escaping."""
+    entries = []
+    for i, node in enumerate(g.nodes):
+        kind = node.kind
+        if kind == POST:
+            entries.append(f'{{"id": {i}, "kind": "post", "action": "{node.action}", '
+                           f'"true": {node.true}, "false": {node.false}}}')
+        elif kind == DELAY:
+            entries.append(f'{{"id": {i}, "kind": "delay", "next": {node.next}}}')
+        else:
+            entries.append(f'{{"id": {i}, "kind": "{kind}"}}')
+    return f'{{"root": {g.root}, "nodes": [{", ".join(entries)}]}}'

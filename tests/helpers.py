@@ -3,8 +3,8 @@ co-simulation, the brute-force rule-closure oracle for the improvement
 preorder on finite thread terms, and the slow reference algorithms (Moore
 refinement, the liveness-based divergence collapse, the greatest-fixpoint
 preorder, the index-order implementation search, the all-pairs Pareto
-front and the form-by-form thread parser) that the library is checked
-against."""
+front, the form-by-form thread parser and the memoizing recursive
+extraction) that the library is checked against."""
 
 from __future__ import annotations
 
@@ -38,9 +38,22 @@ from pga_mech.instructions import (
     POS_TEST,
     TERMINATION,
     Instruction,
+    _branches,
+    _chase,
+    _slot,
     instruction_at,
 )
-from pga_mech.threads import D, DELAY, POST, S, Node, ThreadSyntaxError
+from pga_mech.threads import (
+    _D_NODE,
+    _S_NODE,
+    D,
+    DELAY,
+    POST,
+    S,
+    Node,
+    ThreadSyntaxError,
+    _new,
+)
 
 ACTIONS = ("a", "b", "c")
 
@@ -741,4 +754,74 @@ def reference_parse_thread(text: str) -> ThreadGraph:
             nodes.append(Node(DELAY, next=ref(d[1], name)))
         else:
             nodes.append(Node(POST, action=d[1], true=ref(d[2], name), false=ref(d[3], name)))
+    return ThreadGraph(nodes, 0)
+
+
+def reference_extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
+    """Extraction by a memoizing ``node_at`` per edge, with a node slot
+    reserved at allocation and filled when its entry of ``fill`` is worked
+    off.  The validating constructor checks every edge and numbers the
+    result breadth-first, so no claim about the order of allocation is
+    taken on trust."""
+    code = seq.prefix + (seq.cycle or ())
+    n, m = seq.prefix_len, seq.cycle_len
+    nodes: list = []  # post and delay nodes are None until filled
+    memo: dict[int, int] = {}
+    fill: list[tuple[int, int]] = []  # (position, id) of post and delay nodes
+    d_id = -1
+
+    def alloc(node) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def shared_d() -> int:
+        nonlocal d_id
+        if d_id < 0:
+            d_id = alloc(_D_NODE)
+        return d_id
+
+    def node_at(p: int) -> int:
+        p = _slot(n, m, p)
+        if p is None:
+            return shared_d()
+        if p in memo:
+            return memo[p]
+        ins = code[p]
+        if ins.kind == TERMINATION:
+            nid = alloc(_S_NODE)
+        elif ins.kind != JUMP:
+            nid = alloc(None)
+            fill.append((p, nid))
+        elif ins.counter == 0:
+            nid = shared_d()
+        elif with_delays:
+            nid = alloc(None)
+            fill.append((p, nid))
+        else:
+            # transparent jump: every jump of the chain shares the node it
+            # lands on; a cycle of jumps is deadlock
+            passed: set[int] = set()
+            t = _chase(code, n, m, p, memo, passed)
+            if t in memo:
+                nid = memo[t]
+            elif t is None or t in passed or code[t].kind == JUMP:  # or #0
+                nid = shared_d()
+            elif code[t].kind == TERMINATION:
+                nid = memo[t] = alloc(_S_NODE)
+            else:
+                nid = memo[t] = alloc(None)
+                fill.append((t, nid))
+            for q in passed:
+                memo[q] = nid
+        memo[p] = nid
+        return nid
+
+    node_at(0)
+    for p, nid in fill:  # also visits the entries node_at appends meanwhile
+        ins = code[p]
+        if ins.kind == JUMP:  # delay for a jump
+            nodes[nid] = _new(Node, (DELAY, None, node_at(p + ins.counter), None, None))
+        else:
+            t, f = _branches(p, ins)
+            nodes[nid] = _new(Node, (POST, ins.action, None, node_at(t), node_at(f)))
     return ThreadGraph(nodes, 0)

@@ -1,14 +1,17 @@
 """The product-walk relations, Hopcroft minimization, the one-pass delay
-resolution and the demand-driven implementation search against the slow
-reference algorithms in ``helpers``: Moore refinement, the
-greatest-fixpoint preorder, the liveness-based divergence collapse and the
-index-order search.
+resolution, the demand-driven implementation search, the one-loop
+extraction and the directly written JSON against the slow reference
+algorithms in ``helpers`` and the library's own slower forms: Moore
+refinement, the greatest-fixpoint preorder, the liveness-based divergence
+collapse, the index-order search, the memoizing recursive extraction and
+``json.dumps`` of ``graph_to_dict``.
 
 Independent random graphs are almost always functionally different, so
 most pairs here are a graph against a delay-perturbed copy of itself,
 which reaches every verdict.
 """
 
+import json
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -23,6 +26,7 @@ from pga_mech import (
     extract_mechanistic,
     functional_abstraction,
     functionally_equivalent,
+    graph_to_dict,
     has_adjacent_delays,
     improves,
     make_post,
@@ -30,8 +34,10 @@ from pga_mech import (
     parse_pga,
     parse_thread,
     search_implementations,
+    to_json,
 )
-from pga_mech.threads import D, DELAY, ThreadGraph, _delay_resolution
+from pga_mech.extraction import _extract
+from pga_mech.threads import D, DELAY, POST, S, ThreadGraph, _delay_resolution
 
 from helpers import (
     perturb_delays,
@@ -40,6 +46,7 @@ from helpers import (
     reference_bisimilar,
     reference_collapse_divergence,
     reference_compare,
+    reference_extract,
     reference_functional_abstraction,
     reference_functionally_equivalent,
     reference_has_adjacent_delays,
@@ -225,3 +232,51 @@ def test_search_non_minimal_target():
     assert len(found) == 18
     assert found[0] == parse_pga("(a)^w")
     assert found == reference_search_implementations(target, bounds)
+
+
+def _check_extract(seq):
+    for with_delays in (False, True):
+        # graph equality includes the node numbering
+        assert _extract(seq, with_delays) == reference_extract(seq, with_delays), \
+            (str(seq), with_delays)
+
+
+_JUMPY = ("a", "+a", "-b", "!", "#0", "#1", "#2", "#3", "#5", "#9")
+
+
+def test_extract_matches_reference():
+    rng = random.Random(3009)
+    for _ in range(2000):
+        _check_extract(random_seq(rng))
+    # jump-heavy: #0, jumps off the end, cycles of jumps and chains of jumps
+    # that converge on one landing, in the prefix, the cycle and across
+    for text in ("#0", "#5;a", "(#1)^w", "a;(#2;#1;#3)^w", "+a;#2;#1;#1;b;!", "#9;(#1;#1;a)^w"):
+        _check_extract(parse_pga(text))
+    for _ in range(2000):
+        prefix = [rng.choice(_JUMPY) for _ in range(rng.randint(0, 10))]
+        cycle = [rng.choice(_JUMPY) for _ in range(rng.randint(0, 10))]
+        if not prefix and not cycle:
+            continue
+        text = ";".join(prefix + ([f"({';'.join(cycle)})^w"] if cycle else []))
+        _check_extract(parse_pga(text))
+    # dense: actions, tests and short jumps, so nearly every position is
+    # reached
+    dense = ("a", "b", "+a", "-b", "+c", "#1", "#2", "#3")
+    for count in (100, 300, 1000, 3000, 10_000):
+        ins = [rng.choice(dense) for _ in range(count)]
+        seq = parse_pga(";".join(ins[:count // 5]) + ";(" + ";".join(ins[count // 5:]) + ";-a;!)^w")
+        _check_extract(seq)
+        assert len(extract_mechanistic(seq)) > count // 2
+
+
+def test_to_json_matches_json_dumps():
+    rng = random.Random(3010)
+    for _ in range(500):
+        g = random_graph(rng, max_nodes=8, actions=("a", "x.y", "b_2", "c3.d_4"))
+        assert to_json(g) == json.dumps(graph_to_dict(g))
+    kinds = set()
+    for _ in range(500):
+        g = extract_mechanistic(random_seq(rng, actions=("a.b", "c_1", "d2", "e.f_3.g4")))
+        assert to_json(g) == json.dumps(graph_to_dict(g))
+        kinds |= {node.kind for node in g.nodes}
+    assert kinds == {S, D, DELAY, POST}

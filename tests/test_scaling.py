@@ -15,8 +15,12 @@ and ``improves`` on ``#1;(a¹⁰⁰⁰)^w`` against ``(a¹⁰⁰¹)^w``, where t
 delay on the root edge decides "no" but the cores pair up a million
 ways.  And for ``improve_step`` from the 259-instruction member of the
 ``(+a;#4;+b;#4;!)^w`` chain, whose 128 candidates each cost a full product
-walk when none stops early."""
+walk when none stops early.  And for the per-node layers of ``extract``
+on a dense sequence of 10⁴ instructions: both extractions, ``minimize``
+and the three renderers, each linear or near it, so a budget of a second
+catches a quadratic pass, not noise."""
 
+import random
 import time
 
 from pga_mech import (
@@ -39,7 +43,10 @@ from pga_mech import (
     parse_pga,
     parse_thread,
     print_pga,
+    print_thread,
     search_implementations,
+    to_dot,
+    to_json,
 )
 
 BUDGET_S = 1.0
@@ -142,3 +149,18 @@ def test_delay_chain_into_delay_loop_resolves_at_4000():
     assert len(_timed(functional_abstraction, slow)) == 2
     assert len(_timed(collapse_divergence, slow)) == n + 2
     assert _timed(has_adjacent_delays, slow) is True
+
+
+def test_dense_pipeline_at_10000():
+    # actions, tests and short jumps, so nearly every position is reached
+    rng = random.Random(16)
+    pool = ("a", "b", "c.d", "+a", "-b", "+c", "#1", "#2", "#3")
+    text = (";".join(rng.choice(pool) for _ in range(2_000)) + ";("
+            + ";".join(rng.choice(pool) for _ in range(8_000)) + ";-a;!)^w")
+    seq = parse_pga(text)
+    assert len(_timed(extract_functional, seq)) > 5_000
+    g = _timed(extract_mechanistic, seq)
+    assert len(g) > 8_000
+    assert len(_timed(minimize, g)) > 8_000
+    for render in (print_thread, to_dot, to_json):
+        assert len(_timed(render, g)) > len(g)
