@@ -351,6 +351,10 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
     accepted: 1. unchain; 2. eliminate-jump-to-termination;
     3. expand-test-chain for each ``+b;#k;!`` site x matching test x ``r``
     = 1 up to the length, first on the sequence and then on its unrolling.
+    The unrolled pass is kept because it expands a cycle site's second copy
+    alone, and that can be the only strict improvement: in
+    ``+a;#4;!;(-b;!;+b;#4;!;#3;#1)^w`` the prefix jumps onto the site's
+    first copy, so no expansion of the sequence itself splices.
     Each candidate costs an extraction and a walk over the product of its
     delay resolution with the sequence's, resolved once per step.  The
     walk stops at the first edge where the candidate spends more delays,

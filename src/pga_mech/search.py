@@ -98,29 +98,23 @@ def _slot_options(total: int, alphabet: tuple[str, ...]) -> tuple[Instruction, .
             *(jump(k) for k in range(total + 1)))
 
 
-def _fits(ins: Instruction, kind: str, action: str | None) -> bool:
-    """Whether a non-jump instruction can stand where the delay-free target
-    is at a node of ``kind`` and ``action``: ``!`` at S, an action
-    instruction on the node's action at a post node, nothing at D."""
-    if ins.kind == TERMINATION:
-        return kind == S
-    return kind == POST and action == ins.action
-
-
 @cache
 def _allowed(n: int, m: int, s: int, kind: str, action: str | None,
              alphabet: tuple[str, ...]) -> tuple[int, ...]:
     """Indices into ``_slot_options(n + m, alphabet)`` for slot ``s`` of
     prefix length ``n`` and cycle length ``m``, reached at a target node of
-    ``kind`` and ``action``: the options that fit the node, and every jump
-    except, away from D, the ones that deadlock at once (#0, off the end,
-    back onto ``s``)."""
+    ``kind`` and ``action``: ``!`` at S, an action instruction on the
+    node's action at a post node, and every jump except, away from D, the
+    ones that deadlock at once (#0, off the end, back onto ``s``)."""
     allowed = []
     for i, ins in enumerate(_slot_options(n + m, alphabet)):
-        if ins.kind != JUMP:
-            if _fits(ins, kind, action):
-                allowed.append(i)
-        elif kind == D or (ins.counter and _slot(n, m, s + ins.counter) not in (None, s)):
+        if ins.kind == JUMP:
+            fits = kind == D or (ins.counter and _slot(n, m, s + ins.counter) not in (None, s))
+        elif ins.kind == TERMINATION:
+            fits = kind == S
+        else:
+            fits = kind == POST and action == ins.action
+        if fits:
             allowed.append(i)
     return tuple(allowed)
 
@@ -130,29 +124,33 @@ class _ShapeSearch:
     length ``n`` and cycle length ``m``.
 
     The minimal delay-free target is walked along the partial sequence from
-    position 0, jumps transparent, pairing positions with target nodes.  A
-    slot is assigned only when the walk reaches it, and only to the options
-    that can match the target node there.  Each slot pairs with one target
-    node, and each S or post node of the target needs a slot of its own; D
-    needs none, as ``#0``, running off the end or a cycle of jumps gives
-    it.  Slots the finished walk never reached are don't-cares: no run
-    executes them.  ``check`` is the behavior each finished walk is checked
-    to improve on, or None when the walk alone decides.
+    position 0 and node 0, the target's root, jumps transparent, pairing
+    positions with target nodes.  Each slot pairs with one target node, and
+    each S or post node of the target needs a slot of its own; D needs none,
+    as ``#0``, running off the end or a cycle of jumps gives it.  Slots the
+    finished walk never reached are don't-cares: no run executes them.
+    ``check`` is the behavior each finished walk is checked to improve on,
+    or None when the walk alone decides.
+
+    Invariant: ``slots`` is the one record of the choices, None where
+    unassigned.  A slot is assigned only when the walk reaches it, to an
+    option ``_allowed`` admits at the target node there, and the next walk
+    meets it first, at that node, so the walk never checks a slot's fit.
     """
 
     def __init__(self, check: ThreadGraph | None, target: ThreadGraph, n: int, m: int,
                  alphabet: tuple[str, ...], spend) -> None:
-        self.check, self.target, self.tnodes = check, target, target.nodes
+        self.check, self.tnodes = check, target.nodes
         self.n, self.m, self.alphabet, self.spend = n, m, alphabet, spend
         self.need = sum(node.kind != D for node in target.nodes)
         self.options = _slot_options(n + m, alphabet)
+        self.index = {id(ins): i for i, ins in enumerate(self.options)}
         self.slots: list[Instruction | None] = [None] * (n + m)
-        self.chosen = [-1] * (n + m)  # option index per slot, -1 unassigned
         self.keys: list[tuple[int, ...]] = []
 
     def results(self) -> list[InstrSeq]:
         """Every matching sequence of the shape, by option indices."""
-        self._walk({}, [(0, self.target.root)])
+        self._walk({}, [(0, 0)])
         n, out = self.n, []
         for key in sorted(self.keys):
             ins = [self.options[c] for c in key]
@@ -163,18 +161,20 @@ class _ShapeSearch:
         """Continue the walk from ``stack`` (position, target node) items,
         then branch on the first unassigned slot it reached, or emit.
         ``seen`` pairs each slot the walk has matched with its target node."""
-        # an item that lands on an unassigned slot waits in ``pending``
-        # while the rest of the walk looks for a mismatch
+        # an item that lands on an unassigned slot waits in ``pending``, the
+        # first one's slot kept aside, while the rest of the walk goes on
         slots, n, m = self.slots, self.n, self.m
-        pending: list[tuple[int, int, int]] = []
+        first, pending = 0, []
         while stack:
-            start, tnode = stack.pop()
+            start, tnode = item = stack.pop()
             s = _chase(slots, n, m, start)
-            node = self.tnodes[tnode]
             ins = None if s is None else slots[s]
             if ins is None and s is not None:  # an unassigned slot
-                pending.append((s, start, tnode))
+                if not pending:
+                    first = s
+                pending.append(item)
                 continue
+            node = self.tnodes[tnode]
             if ins is None or ins.kind == JUMP:  # off the end, #0 or a cycle of jumps
                 if node.kind != D:
                     return
@@ -186,8 +186,6 @@ class _ShapeSearch:
                     return
                 continue
             seen[s] = tnode
-            if not _fits(ins, node.kind, node.action):
-                return
             if ins.kind != TERMINATION:
                 t, f = _branches(s, ins)
                 stack.append((t, node.true))
@@ -195,35 +193,35 @@ class _ShapeSearch:
         if not pending:
             self._emit()
             return
-        s, _, tnode = pending[0]
-        resume = [(start, t) for _, start, t in reversed(pending)]
+        tnode = pending[0][1]
         node = self.tnodes[tnode]
         # pigeonhole: each unpaired S or post node needs a free slot of its
-        # own, and slot ``s`` can serve only ``node``, and only as a non-jump
+        # own, and slot ``first`` can serve only ``node``, only as a non-jump
         paired = set(seen.values())
-        free = self.chosen.count(-1) - 1
+        free = slots.count(None) - 1
         unpaired = self.need - len(paired)
         jumps = unpaired <= free
         others = unpaired - (node.kind != D and tnode not in paired) <= free
-        for i in _allowed(n, m, s, node.kind, node.action, self.alphabet):
-            if jumps if self.options[i].kind == JUMP else others:
-                self.slots[s], self.chosen[s] = self.options[i], i
-                self._walk(dict(seen), list(resume))
-        self.slots[s], self.chosen[s] = None, -1
+        for i in _allowed(n, m, first, node.kind, node.action, self.alphabet):
+            ins = self.options[i]
+            if jumps if ins.kind == JUMP else others:
+                slots[first] = ins
+                self._walk(dict(seen), pending[::-1])
+        slots[first] = None
 
     def _emit(self) -> None:
         """Check the finished walk once and record every filling of its
         don't-cares."""
-        n, m, options = self.n, self.m, self.options
+        n, m, options, slots = self.n, self.m, self.options, self.slots
         if self.check is not None:
-            probe = [ins or options[0] for ins in self.slots]
+            probe = [ins or options[0] for ins in slots]
             seq = InstrSeq(tuple(probe[:n]), tuple(probe[n:]) if m else None)
             if not improves(self.check, extract_mechanistic(seq)):
                 self.spend(1, n, m)
                 return
-        free = [s for s, c in enumerate(self.chosen) if c < 0]
+        free = [s for s, ins in enumerate(slots) if ins is None]
         self.spend(len(options) ** len(free), n, m)
-        key = list(self.chosen)
+        key = [-1 if ins is None else self.index[id(ins)] for ins in slots]
         for filling in product(range(len(options)), repeat=len(free)):
             for s, c in zip(free, filling):
                 key[s] = c

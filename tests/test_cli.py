@@ -94,6 +94,13 @@ def test_compare_functional_flag():
     assert result.stdout == "equal\n"
 
 
+def test_compare_needs_two_inputs():
+    result = run("compare", "--pga", "a;!")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: exactly two inputs are required (--pga/--thread)\n"
+
+
 def test_check_implements(tmp_path):
     path = tmp_path / "p.thread"
     path.write_text("P = a ? Q : R\nQ = b . QS\nR = c . RS\nQS = S\nRS = S\n")
@@ -114,6 +121,14 @@ def test_rewrite_unchain_golden():
     result = run("rewrite", "unchain", "--pga", "#2;a;#1;b;!")
     assert result.stdout == "#3;a;#1;b;!\n"
     assert result.exit_code == 0
+
+
+def test_rewrite_no_jump_to_term_trace():
+    result = run("rewrite", "no-jump-to-term", "--pga", "+a;#2;#3;!;b;!", "--trace")
+    assert result.exit_code == 0
+    assert result.stdout == ("+a;!;!;!;b;!\n"
+                             "eliminate-jump-to-termination @1: improves\n"
+                             "eliminate-jump-to-termination @2: improves\n")
 
 
 def test_rewrite_improve_trace():
@@ -254,6 +269,14 @@ def test_non_utf8_file_exit_2(tmp_path):
         assert result.exit_code == 2, args[0]
         assert result.stdout == ""
         assert result.stderr == f"error: {str(path)!r} is not UTF-8: invalid start byte at offset 4\n"
+
+
+def test_missing_thread_file_exit_2(tmp_path):
+    path = tmp_path / "missing.thread"
+    result = run("check", "implements", "--pga", "a;!", "--thread-file", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
 
 def test_deterministic_output():

@@ -33,6 +33,7 @@ from pga_mech import (
     minimize,
     parse_pga,
     parse_thread,
+    reachable_positions,
     search_implementations,
     to_json,
 )
@@ -135,7 +136,13 @@ def test_minimize_matches_reference():
     for _ in range(150):
         _check_minimize(random_graph(rng, max_nodes=60))
     for _ in range(40):
-        g = extract_mechanistic(_dense_seq(rng, rng.randint(20, 330)))
+        count = rng.randint(20, 330)
+        # an early ``!`` can leave most positions unreachable and the graph
+        # tiny; as in perfbench's dense inputs, such a draw is drawn again
+        seq = _dense_seq(rng, count)
+        while len(reachable_positions(seq)) < 0.85 * seq.total_len:
+            seq = _dense_seq(rng, count)
+        g = extract_mechanistic(seq)
         for h in (g, collapse_divergence(g), functional_abstraction(g)):
             _check_minimize(h)
 

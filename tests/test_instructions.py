@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pga_mech import (
     InstrSeq,
+    Instruction,
     JumpResolution,
     PgaSyntaxError,
     TERMINATE,
@@ -23,7 +25,7 @@ from pga_mech import (
     print_pga,
     reachable_positions,
 )
-from pga_mech.instructions import _parse_tokens
+from pga_mech.instructions import BASIC, JUMP, POS_TEST, TERMINATION, _parse_tokens
 
 from helpers import random_seq
 
@@ -206,6 +208,25 @@ def test_instruction_at():
     assert instruction_at(InstrSeq((basic("a"), TERMINATE)), 1) == TERMINATE
     assert instruction_at(InstrSeq((), (jump(1), basic("a"))), 7) == basic("a")
     assert instruction_at(InstrSeq((basic("a"),)), 3) is None
+
+
+def test_instruction_field_checks():
+    for args, message in (
+            ((BASIC, None), "invalid action name None"),
+            ((POS_TEST, "a", 1), "action instructions carry no counter"),
+            ((JUMP, "a", 1), "jumps carry no action"),
+            ((JUMP, None, -1), "jump counter must be a natural number"),
+            ((TERMINATION, "a"), "termination carries no payload"),
+            (("halt",), "unknown instruction kind 'halt'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Instruction(*args)
+
+
+def test_negative_positions_are_rejected():
+    seq = parse_pga("a;!")
+    for look_up in (canonical_position, instruction_at):
+        with pytest.raises(ValueError, match="^positions are natural numbers$"):
+            look_up(seq, -1)
 
 
 def test_canonical_position_wraps():

@@ -43,6 +43,7 @@ from pga_mech import (
     unchain,
     unroll,
 )
+from pga_mech import rewrites
 from pga_mech.instructions import (
     JUMP,
     NEG_TEST,
@@ -218,6 +219,19 @@ def test_splice_jump_into_span_error():
         splice(parse_pga("#2;a;b;c;!"), 2, 2, [TERMINATE])
 
 
+def test_rewrite_input_checks():
+    s = parse_pga("(+a;#4;+b;#4;!)^w")
+    with pytest.raises(RewriteError, match="^negative removal count$"):
+        splice(s, 2, -1, [])
+    with pytest.raises(RewriteError, match="^expansion count must be at least 1$"):
+        expand_test_chain(s, 2, 0, 2)
+    for rewrite in (lambda seq: splice(seq, 5, 0, []),
+                    lambda seq: rewrite_negtest_jump(seq, 5)):
+        with pytest.raises(RewriteError,
+                           match="^span starts past the end of a finite sequence$"):
+            rewrite(parse_pga("a;!"))
+
+
 def test_splice_prefix_shift():
     out = splice(parse_pga("#2;a;!"), 1, 1, [basic("b"), basic("b")])
     # prefix grew by one, the flyover jump is stretched to keep its target
@@ -378,6 +392,27 @@ def test_improve_step_none_for_pre_extraction():
     assert improve_step(parse_pga("a;!")) is None
 
 
+# two of the six sequences, among 133,713 random cyclic ones with planted
+# ``+x;#k;!`` sites (seed 11), where only the unrolled expansion pass finds
+# a strict improvement: the prefix jumps onto the cycle's site, so no
+# expansion of the sequence itself can be spliced, or its test skips into
+# the site, so every one changes the function; in both, the site's second
+# copy is entered only from within the cycle, and expanding it improves
+@pytest.mark.parametrize("text, improved, site", [
+    ("+a;#4;!;(-b;!;+b;#4;!;#3;#1)^w",
+     "+a;#4;!;(-b;!;+b;#4;!;#3;#1;-b;!;-b;!;-b;!;+b;#4;!;#3;#1)^w", 12),
+    ("-b;(+b;#5;!;+a;-a;a;-b;!)^w",
+     "-b;(+b;#5;!;+a;-a;a;-b;!;-b;!;-b;!;+b;#13;!;+a;-a;a;-b;!)^w", 9),
+])
+def test_improve_step_needs_unrolled_pass(monkeypatch, text, improved, site):
+    seq = parse_pga(text)
+    out, step = improve_step(seq)
+    assert print_pga(out) == improved
+    assert (step.rule, step.site) == ("expand-test-chain", site)
+    monkeypatch.setattr(rewrites, "unroll", lambda s: s)
+    assert improve_step(seq) is None
+
+
 def test_improve_step_functional_safety_random():
     rng = random.Random(55)
     for _ in range(60):
@@ -506,6 +541,9 @@ def test_search_walk_is_pruned(monkeypatch):
 def test_search_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(0, 0, ("a",))
+    for n, m in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^bounds must be nonnegative$"):
+            SearchBounds(n, m, ("a",))
     with pytest.raises(ValueError):
         SearchBounds(2, 0, ())
     for name in ("A", "1x", "a b", ""):

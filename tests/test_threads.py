@@ -52,6 +52,18 @@ def test_node_constructor_validates():
     assert Node(POST, action="a", true=1, false=2).successors() == (1, 2)
 
 
+def test_graph_constructor_checks():
+    with pytest.raises(ValueError, match="^root is not a node$"):
+        ThreadGraph([Node(S)], 1)
+    # Node._make skips the node checks, so only the graph's can catch a
+    # post node without successors
+    for node in (Node(DELAY, next=1), Node._make((POST, "a", None, None, None))):
+        with pytest.raises(ValueError, match="^edge target is not a node$"):
+            ThreadGraph([node], 0)
+    with pytest.raises(ValueError, match="^delay count must be nonnegative$"):
+        make_delay(make_s(), -1)
+
+
 def test_parse_thread_shapes():
     g = parse_thread("P = sigma(Q)\nQ = a ? P : Q2\nQ2 = S")
     assert len(g) == 3
