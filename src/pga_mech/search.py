@@ -4,12 +4,16 @@
 bounds that a behavior implements.  The search walks the minimal delay-free
 target along each partial sequence and assigns a slot only when the walk
 reaches it, so slots that no run executes are enumerated only when results
-are emitted, under an explicit budget.  Three exact prunes cut the walk
-without changing its results: the target is minimized; a walk that pairs
-a slot with two target nodes fails at once, since two nodes of a minimal
-graph are never bisimilar; and, by pigeonhole, a branch is dropped when
-the target's S and post nodes not yet paired outnumber the slots left to
-pair them with.
+are emitted, under an explicit budget.  Exact prunes cut the walk without
+changing its results.  The target is minimized.  A walk that pairs a slot
+with two target nodes fails at once, since two nodes of a minimal graph are
+never bisimilar, and so does a walk whose items wait on one unassigned slot
+at two nodes.  An action instruction is offered only where its replies fit
+the node's successors: replies that reach one slot need one successor, and
+a reply that runs off the end needs D.  By pigeonhole, a branch is dropped
+when the target's S and post nodes not yet paired outnumber the slots left
+to pair them with, and a shape with fewer slots than those nodes is
+skipped.
 
 ``pareto_front`` keeps the results whose mechanistic behavior no other
 result strictly improves.  It costs one extraction per result plus one
@@ -99,21 +103,29 @@ def _slot_options(total: int, alphabet: tuple[str, ...]) -> tuple[Instruction, .
 
 
 @cache
-def _allowed(n: int, m: int, s: int, kind: str, action: str | None,
-             alphabet: tuple[str, ...]) -> tuple[int, ...]:
+def _allowed(n: int, m: int, s: int, kind: str, action: str | None, t_d: bool, f_d: bool,
+             same: bool, alphabet: tuple[str, ...]) -> tuple[int, ...]:
     """Indices into ``_slot_options(n + m, alphabet)`` for slot ``s`` of
     prefix length ``n`` and cycle length ``m``, reached at a target node of
-    ``kind`` and ``action``: ``!`` at S, an action instruction on the
-    node's action at a post node, and every jump except, away from D, the
-    ones that deadlock at once (#0, off the end, back onto ``s``)."""
+    ``kind`` and ``action`` whose true and false successors are D (``t_d``,
+    ``f_d``) and are one node (``same``): ``!`` at S, every jump except,
+    away from D, the ones that deadlock at once (#0, off the end, back onto
+    ``s``), and at a post node an action instruction on its action whose
+    replies fit the successors.  Replies that reach one slot need one
+    successor, since a slot pairs with one target node; this rules out a
+    basic action at a branching node and a test in a one-slot cycle.  A
+    reply that runs off the end needs D."""
     allowed = []
     for i, ins in enumerate(_slot_options(n + m, alphabet)):
         if ins.kind == JUMP:
             fits = kind == D or (ins.counter and _slot(n, m, s + ins.counter) not in (None, s))
         elif ins.kind == TERMINATION:
             fits = kind == S
+        elif kind == POST and action == ins.action:
+            t, f = (_slot(n, m, q) for q in _branches(s, ins))
+            fits = (same or t != f) and (t_d or t is not None) and (f_d or f is not None)
         else:
-            fits = kind == POST and action == ins.action
+            fits = False
         if fits:
             allowed.append(i)
     return tuple(allowed)
@@ -127,10 +139,12 @@ class _ShapeSearch:
     position 0 and node 0, the target's root, jumps transparent, pairing
     positions with target nodes.  Each slot pairs with one target node, and
     each S or post node of the target needs a slot of its own; D needs none,
-    as ``#0``, running off the end or a cycle of jumps gives it.  Slots the
-    finished walk never reached are don't-cares: no run executes them.
-    ``check`` is the behavior each finished walk is checked to improve on,
-    or None when the walk alone decides.
+    as ``#0``, running off the end or a cycle of jumps gives it.  A slot
+    stands for one target node even before it is assigned, so walk items
+    that wait on one unassigned slot at two nodes fail the walk at once.
+    Slots the finished walk never reached are don't-cares: no run executes
+    them.  ``check`` is the behavior each finished walk is checked to
+    improve on, or None when the walk alone decides.
 
     Invariant: ``slots`` is the one record of the choices, None where
     unassigned.  A slot is assigned only when the walk reaches it, to an
@@ -143,6 +157,13 @@ class _ShapeSearch:
         self.check, self.tnodes = check, target.nodes
         self.n, self.m, self.alphabet, self.spend = n, m, alphabet, spend
         self.need = sum(node.kind != D for node in target.nodes)
+        # each node's arguments to ``_allowed``: kind, action, whether its
+        # true and false successors are D and whether they are one node
+        self.facts = [
+            (node.kind, node.action, False, False, False) if node.kind != POST else
+            (POST, node.action, self.tnodes[node.true].kind == D,
+             self.tnodes[node.false].kind == D, node.true == node.false)
+            for node in target.nodes]
         self.options = _slot_options(n + m, alphabet)
         self.index = {id(ins): i for i, ins in enumerate(self.options)}
         self.slots: list[Instruction | None] = [None] * (n + m)
@@ -161,18 +182,20 @@ class _ShapeSearch:
         """Continue the walk from ``stack`` (position, target node) items,
         then branch on the first unassigned slot it reached, or emit.
         ``seen`` pairs each slot the walk has matched with its target node."""
-        # an item that lands on an unassigned slot waits in ``pending``, the
-        # first one's slot kept aside, while the rest of the walk goes on
+        # an item that lands on an unassigned slot waits there, in
+        # ``waiting`` (slot: target node), while the rest of the walk goes on
         slots, n, m = self.slots, self.n, self.m
-        first, pending = 0, []
+        waiting: dict[int, int] = {}
         while stack:
-            start, tnode = item = stack.pop()
+            start, tnode = stack.pop()
             s = _chase(slots, n, m, start)
             ins = None if s is None else slots[s]
             if ins is None and s is not None:  # an unassigned slot
-                if not pending:
-                    first = s
-                pending.append(item)
+                # two nodes would meet in it as a non-jump, or at one landing
+                # of it as a jump; no two nodes of a minimal target are
+                # bisimilar, and only one is D
+                if waiting.setdefault(s, tnode) != tnode:
+                    return
                 continue
             node = self.tnodes[tnode]
             if ins is None or ins.kind == JUMP:  # off the end, #0 or a cycle of jumps
@@ -190,23 +213,23 @@ class _ShapeSearch:
                 t, f = _branches(s, ins)
                 stack.append((t, node.true))
                 stack.append((f, node.false))
-        if not pending:
+        if not waiting:
             self._emit()
             return
-        tnode = pending[0][1]
-        node = self.tnodes[tnode]
+        first, tnode = next(iter(waiting.items()))
+        kind = self.tnodes[tnode].kind
         # pigeonhole: each unpaired S or post node needs a free slot of its
-        # own, and slot ``first`` can serve only ``node``, only as a non-jump
+        # own, and slot ``first`` can serve only its node, only as a non-jump
         paired = set(seen.values())
         free = slots.count(None) - 1
         unpaired = self.need - len(paired)
         jumps = unpaired <= free
-        others = unpaired - (node.kind != D and tnode not in paired) <= free
-        for i in _allowed(n, m, first, node.kind, node.action, self.alphabet):
+        others = unpaired - (kind != D and tnode not in paired) <= free
+        for i in _allowed(n, m, first, *self.facts[tnode], self.alphabet):
             ins = self.options[i]
             if jumps if ins.kind == JUMP else others:
                 slots[first] = ins
-                self._walk(dict(seen), pending[::-1])
+                self._walk(dict(seen), [*reversed(waiting.items())])
         slots[first] = None
 
     def _emit(self) -> None:
@@ -241,11 +264,14 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds,
     the sequence reaches are branched on; a slot no run executes cannot
     change the behavior, so one improvement check covers every filling of
     those don't-cares, and each filling is returned.  A walk that pairs a
-    slot with two target nodes stops at once, and a slot takes an option
-    only while the slots still free after it are at least as many as the
-    target's S and post nodes that the option leaves unpaired.  These
-    prunes drop only branches that can never finish, so the results,
-    their order and the budget's count are those of the unpruned walk.
+    slot with two target nodes, assigned or not, stops at once.  A slot
+    takes an action instruction only where its replies fit the target
+    node's successors, and any option only while the slots still free
+    after it are at least as many as the target's S and post nodes that
+    the option leaves unpaired; a shape with fewer slots than those nodes
+    is skipped.  These prunes drop only branches that can never finish, so
+    the results, their order and the budget's count are those of the
+    unpruned walk.
 
     ``max_candidates`` bounds the sequences checked or emitted (a failed
     check counts one, a passed one every sequence it emits); the search
@@ -267,8 +293,10 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds,
                 f"search exceeds max_candidates={max_candidates} sequences "
                 f"checked or emitted (at prefix length {n}, cycle length {m})")
 
+    # pigeonhole: each S or post node of the target needs a slot of its own
+    need = sum(node.kind != D for node in target.nodes)
     found: list[InstrSeq] = []
-    for total in range(1, bounds.max_prefix + bounds.max_cycle + 1):
+    for total in range(max(1, need), bounds.max_prefix + bounds.max_cycle + 1):
         for m in range(0, min(total, bounds.max_cycle) + 1):
             n = total - m
             if n <= bounds.max_prefix:

@@ -441,22 +441,20 @@ def print_thread(g: ThreadGraph) -> str:
 
 def to_dot(g: ThreadGraph) -> str:
     """DOT digraph: solid edge = true branch, dashed edge = false branch."""
-    lines = ["digraph thread {"]
+    # one walk: the node lines, then the edge lines
+    heads, edges = ["digraph thread {"], []
     for i, node in enumerate(g.nodes):
-        if node.kind in (S, D):
-            lines.append(f'  n{i} [label="{node.kind}", shape=box];')
+        if node.kind == POST:
+            heads.append(f'  n{i} [label="{node.action}"];')
+            edges.append(f"  n{i} -> n{node.true} [style=solid];")
+            edges.append(f"  n{i} -> n{node.false} [style=dashed];")
         elif node.kind == DELAY:
-            lines.append(f'  n{i} [label="σ"];')
+            heads.append(f'  n{i} [label="σ"];')
+            edges.append(f"  n{i} -> n{node.next};")
         else:
-            lines.append(f'  n{i} [label="{node.action}"];')
-    for i, node in enumerate(g.nodes):
-        if node.kind == DELAY:
-            lines.append(f"  n{i} -> n{node.next};")
-        elif node.kind == POST:
-            lines.append(f"  n{i} -> n{node.true} [style=solid];")
-            lines.append(f"  n{i} -> n{node.false} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines)
+            heads.append(f'  n{i} [label="{node.kind}", shape=box];')
+    edges.append("}")
+    return "\n".join(heads + edges)
 
 
 def graph_to_dict(g: ThreadGraph) -> dict:

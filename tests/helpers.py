@@ -3,8 +3,8 @@ co-simulation, the brute-force rule-closure oracle for the improvement
 preorder on finite thread terms, and the slow reference algorithms (Moore
 refinement, the liveness-based divergence collapse, the greatest-fixpoint
 preorder, the index-order implementation search, the all-pairs Pareto
-front, the form-by-form thread parser and the memoizing recursive
-extraction) that the library is checked against."""
+front, the form-by-form thread parser, the memoizing recursive extraction
+and the two-pass DOT renderer) that the library is checked against."""
 
 from __future__ import annotations
 
@@ -825,3 +825,26 @@ def reference_extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
             t, f = _branches(p, ins)
             nodes[nid] = _new(Node, (POST, ins.action, None, node_at(t), node_at(f)))
     return ThreadGraph(nodes, 0)
+
+
+# --- reference DOT renderer --------------------------------------------------
+
+def reference_to_dot(g: ThreadGraph) -> str:
+    """``to_dot`` in two walks over the nodes: first the node lines, then
+    the edge lines."""
+    lines = ["digraph thread {"]
+    for i, node in enumerate(g.nodes):
+        if node.kind in (S, D):
+            lines.append(f'  n{i} [label="{node.kind}", shape=box];')
+        elif node.kind == DELAY:
+            lines.append(f'  n{i} [label="σ"];')
+        else:
+            lines.append(f'  n{i} [label="{node.action}"];')
+    for i, node in enumerate(g.nodes):
+        if node.kind == DELAY:
+            lines.append(f"  n{i} -> n{node.next};")
+        elif node.kind == POST:
+            lines.append(f"  n{i} -> n{node.true} [style=solid];")
+            lines.append(f"  n{i} -> n{node.false} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines)

@@ -52,7 +52,8 @@ from pga_mech.instructions import (
     InstrSeq,
     instruction_at,
 )
-from pga_mech.search import _ShapeSearch
+from pga_mech.search import _ShapeSearch, _allowed, _slot_options
+from pga_mech.threads import POST
 
 from helpers import chain_witnesses, random_graph, random_seq, reference_pareto_front
 
@@ -522,7 +523,8 @@ def test_search_budget():
 
 def test_search_walk_is_pruned(monkeypatch):
     # no sequence of (4, 4) implements this target, so every branch of the
-    # walk fails; an unpruned walk makes 637,511 steps before it is done
+    # walk fails; an unpruned walk makes 637,511 steps before it is done,
+    # and the prunes leave 72,289
     steps = 0
     walk = _ShapeSearch._walk
 
@@ -535,7 +537,33 @@ def test_search_walk_is_pruned(monkeypatch):
     target = parse_thread("P = a ? Q : R; Q = b ? P : T; R = c . P; T = S")
     bounds = SearchBounds(4, 4, ("a", "b", "c"))
     assert search_implementations(target, bounds, max_candidates=1000) == []
-    assert steps < 250_000
+    assert steps < 100_000
+
+
+def _allowed_actions(n, m, s, t_d, f_d, same):
+    """The action instructions ``_allowed`` offers for slot ``s`` of shape
+    (n, m) at a post node on ``a`` with the given successor facts."""
+    options = _slot_options(n + m, ("a",))
+    return {str(options[i]) for i in _allowed(n, m, s, POST, "a", t_d, f_d, same, ("a",))
+            if options[i].kind not in (JUMP, TERMINATION)}
+
+
+def test_search_offers_only_fitting_actions():
+    # a basic action sends both replies to one slot, so it needs one successor
+    assert _allowed_actions(4, 0, 0, False, False, False) == {"+a", "-a"}
+    assert _allowed_actions(4, 0, 0, False, False, True) == {"a", "+a", "-a"}
+    # a reply that runs off the end of a finite shape needs D: at the last
+    # slot both replies do, one slot earlier the one that skips does
+    assert _allowed_actions(4, 0, 3, True, False, False) == set()
+    assert _allowed_actions(4, 0, 3, False, False, True) == set()
+    assert _allowed_actions(4, 0, 3, True, True, True) == {"a", "+a", "-a"}
+    assert _allowed_actions(4, 0, 2, False, True, False) == {"+a"}
+    assert _allowed_actions(4, 0, 2, True, False, False) == {"-a"}
+    # in a one-slot cycle both replies of a test come back to the slot
+    assert _allowed_actions(0, 1, 0, False, False, False) == set()
+    assert _allowed_actions(0, 1, 0, False, False, True) == {"a", "+a", "-a"}
+    # in a two-slot cycle a test's replies reach both slots
+    assert _allowed_actions(0, 2, 0, False, False, False) == {"+a", "-a"}
 
 
 def test_search_bounds_validation():

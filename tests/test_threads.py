@@ -24,7 +24,7 @@ from pga_mech import (
 )
 from pga_mech.threads import D, DELAY, Node, POST, S, ThreadGraph
 
-from helpers import random_graph, reference_parse_thread
+from helpers import random_graph, random_seq, reference_parse_thread, reference_to_dot
 
 
 def test_constructor_garbage_collects():
@@ -296,6 +296,17 @@ def test_to_dot_shapes():
     loop = extract_mechanistic(parse_pga("(#1;a)^w"))
     dot = to_dot(loop)
     assert "σ" in dot
+
+
+def test_to_dot_matches_two_pass_reference():
+    rng = random.Random(37)
+    graphs = [random_graph(rng) for _ in range(200)]
+    graphs += [extract_mechanistic(random_seq(rng)) for _ in range(200)]
+    kinds = set()
+    for g in graphs:
+        assert to_dot(g) == reference_to_dot(g), g.nodes
+        kinds.update(node.kind for node in g.nodes)
+    assert kinds == {S, D, DELAY, POST}
 
 
 def test_json_schema():
