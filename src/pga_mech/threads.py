@@ -13,7 +13,10 @@ whose nodes are known to be valid and in range skips the checks:
 ``ThreadGraph._renumbered`` is the constructor's one-pass breadth-first
 renumbering alone, which also builds ``minimize``'s quotient, and
 ``ThreadGraph._canonical`` takes nodes already numbered that way, as
-extraction builds them.
+extraction builds them.  ``minimize`` refines only the cores of the delay
+resolution (S, post and one shared D node): a delay node's class is the
+key (its delay count, its core's block), so it costs two linear passes
+plus O(c log c) for the c cores.
 """
 
 from __future__ import annotations
@@ -225,43 +228,61 @@ def make_prefix(action: str, inner: ThreadGraph) -> ThreadGraph:
 
 # --- minimization ----------------------------------------------------------
 
-def _bisimulation_blocks(nodes: tuple[Node, ...]) -> list[int]:
-    """Block id per node of the coarsest bisimulation, by Hopcroft's
-    partition refinement over the letters next/true/false.
+def _core_blocks(nodes: tuple[Node, ...], resolution: list[tuple[int, int]]) -> list[int]:
+    """Block id per core of the delay resolution (S, post and the shared D
+    node; -1 elsewhere) in the coarsest bisimulation, by Hopcroft's
+    refinement over the letters true/false into the edges' cores.  A post
+    starts in the block of its action and its edges' delay counts.
 
-    Each block is a set of members.  Transitions are partial (only delay
-    nodes have ``next``), so every initial (kind, action) block starts on
-    the worklist (Valmari and Lehtinen, 2008).  A splitter is taken as its
-    block's members at the time it is popped.  A block that the splitter's
-    predecessors over one letter hit only partly keeps its id for the larger
-    part, and the smaller part takes a new id and is queued: that is
-    Hopcroft's rule whether or not the old block is still queued.
+    Each block is a set of members.  Transitions are partial, so every
+    initial block starts on the worklist (Valmari and Lehtinen, 2008).  A
+    block that the splitter's predecessors over one letter hit only partly
+    keeps its id for the larger part, and the smaller part takes a new id
+    and is queued: Hopcroft's rule, whether or not the old block is queued.
     """
-    inverse: tuple[list[list[int]], ...] = tuple([[] for _ in nodes] for _ in range(3))
-    labels: dict[tuple, int] = {}
-    block = [labels.setdefault((node.kind, node.action), len(labels)) for node in nodes]
-    members: list[set[int]] = [set() for _ in labels]
-    for i, node in enumerate(nodes):
-        members[block[i]].add(i)
-        if node.kind == DELAY:
-            inverse[0][node.next].append(i)
-        elif node.kind == POST:
-            inverse[1][node.true].append(i)
-            inverse[2][node.false].append(i)
+    true_inverse, false_inverse = [[] for _ in nodes], [[] for _ in nodes]
+    labels: dict = {}
+    block = [-1] * len(nodes)
+    members: list[set[int]] = []
+    for i, (node, (_, core)) in enumerate(zip(nodes, resolution)):
+        if core != i:
+            continue
+        label, action, _, t, f = node
+        if label == POST:
+            t_count, t = resolution[t]
+            f_count, f = resolution[f]
+            true_inverse[t].append(i)
+            false_inverse[f].append(i)
+            label = (action, t_count, f_count)
+        b = block[i] = labels.setdefault(label, len(labels))
+        if b == len(members):
+            members.append(set())
+        members[b].add(i)
     work = list(range(len(members)))
     while work:
-        splitter = list(members[work.pop()])
-        for letter_inverse in inverse:
+        splitter = members[work.pop()]
+        if len(splitter) == 1:
+            (i,) = splitter
+            letters = (true_inverse[i], false_inverse[i])
+        else:  # both read before either letter splits the splitter
+            letters = ([j for i in splitter for j in true_inverse[i]],
+                       [j for i in splitter for j in false_inverse[i]])
+        for hit_nodes in letters:
+            if len(hit_nodes) == 1:  # most blocks end as singletons: no grouping
+                j = hit_nodes[0]
+                rest = members[block[j]]
+                if len(rest) > 1:
+                    rest.remove(j)
+                    block[j] = len(members)
+                    work.append(len(members))
+                    members.append({j})
+            if len(hit_nodes) < 2:
+                continue
             # each node has at most one successor per letter, so no
             # predecessor is hit twice
             hit: dict[int, list[int]] = {}
-            for i in splitter:
-                for j in letter_inverse[i]:
-                    c = block[j]
-                    if c in hit:
-                        hit[c].append(j)
-                    else:
-                        hit[c] = [j]
+            for j in hit_nodes:
+                hit.setdefault(block[j], []).append(j)
             for c, part in hit.items():
                 rest = members[c]
                 if len(part) == len(rest):
@@ -279,18 +300,25 @@ def _bisimulation_blocks(nodes: tuple[Node, ...]) -> list[int]:
 
 
 def minimize(g: ThreadGraph) -> ThreadGraph:
-    """Smallest graph bisimilar to ``g`` (quotient by bisimilarity).  It is
-    built in one breadth-first pass from the root's block, each edge sent
-    to one member of its target's block, so it is numbered as the
-    constructor would number it and is canonical."""
-    block = _bisimulation_blocks(g.nodes)
-    member = dict(zip(block, range(len(block))))  # the last member of each block
-    return ThreadGraph._renumbered(g.nodes, g.root, list(map(member.__getitem__, block)))
+    """Smallest graph bisimilar to ``g`` (quotient by bisimilarity): ``g``
+    itself if it is minimal.  Only the cores of the delay resolution are
+    refined; a node's class is its key (delay count, block of its core).
+    The quotient is built in one breadth-first pass from the root's key, so
+    it is canonical.  Cost: two linear passes plus O(c log c) in c cores."""
+    nodes, resolution = _delay_resolution(g)
+    block = _core_blocks(nodes, resolution)
+    stride = len(block)  # above every block id, so (count, block) keys stay apart
+    keys = [count * stride + block[core] for count, core in resolution]
+    keys.pop()  # the shared D node's, which no edge of g reaches
+    member = dict(zip(keys, range(len(keys))))  # the last node of each key
+    if len(member) == len(g):
+        return g  # no two nodes share a class, and every graph is canonical
+    return ThreadGraph._renumbered(g.nodes, g.root, list(map(member.__getitem__, keys)))
 
 
 # --- divergence and delay resolution ---------------------------------------
 # Divergence (a delay loop, or a delay chain into D) behaves as deadlock.
-# Every relation reads the one-pass resolution below; none builds a graph.
+# Every relation and ``minimize`` read the one-pass resolution below.
 
 def _delay_resolution(g: ThreadGraph) -> tuple[tuple[Node, ...], list[tuple[int, int]]]:
     """``g.nodes`` plus the shared D node, and for each of those nodes the

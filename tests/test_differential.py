@@ -29,7 +29,10 @@ from pga_mech import (
     graph_to_dict,
     has_adjacent_delays,
     improves,
+    make_d,
+    make_delay,
     make_post,
+    make_s,
     minimize,
     parse_pga,
     parse_thread,
@@ -123,6 +126,21 @@ def _check_minimize(g):
     assert ThreadGraph(m.nodes, 0).nodes == m.nodes
 
 
+def _delay_chain_tree(rng):
+    """Posts over delay chains of 0-4 into sub-graphs that repeat (so the
+    chains of several edges can share their delays) and into divergent
+    ones (a delay loop of one or three nodes, D), with delay edits."""
+    shared = random_graph(rng, max_nodes=8)
+    parts = [shared, shared, random_graph(rng, max_nodes=8), make_s(), make_d(),
+             parse_thread("P = sigma(P)"), parse_thread("P = sigma(Q); Q = sigma(R); R = sigma(P)")]
+    g = make_delay(rng.choice(parts), rng.randint(0, 4))
+    for _ in range(rng.randint(1, 4)):
+        edges = [g, make_delay(rng.choice(parts), rng.randint(0, 4))]
+        rng.shuffle(edges)
+        g = make_post(rng.choice("ab"), *edges)
+    return perturb_delays(rng, g, moves=rng.randint(0, 3))
+
+
 def test_minimize_matches_reference():
     rng = random.Random(3003)
     for k in range(1500):
@@ -143,6 +161,12 @@ def test_minimize_matches_reference():
         while len(reachable_positions(seq)) < 0.85 * seq.total_len:
             seq = _dense_seq(rng, count)
         g = extract_mechanistic(seq)
+        for h in (g, collapse_divergence(g), functional_abstraction(g)):
+            _check_minimize(h)
+    # delay nodes whose chains share a core, and divergent chains, where a
+    # delay node's class is its delay count and its core's class
+    for _ in range(600):
+        g = _delay_chain_tree(rng)
         for h in (g, collapse_divergence(g), functional_abstraction(g)):
             _check_minimize(h)
 

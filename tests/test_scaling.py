@@ -2,9 +2,10 @@
 chains ``#1ⁿ;a;!`` against ``#1ⁿ⁻¹;a;!`` and the delayed loop
 ``((a;#1)ⁿ;b)^w`` against ``(aⁿ;b)^w``.  Moore refinement is quadratic on
 the first and the fixpoint preorder cubic on the second; the product walks
-and Hopcroft refinement are near linear.  Also for implementation search on
-``a ? b.S : c.S``, where index-order enumeration spends most of its time
-on the options of slots that a jump flies over; for the Pareto front of
+and the Hopcroft refinement of the delay resolution's cores are near
+linear.  Also for implementation search on ``a ? b.S : c.S``, where
+index-order enumeration spends most of its time on the options of slots
+that a jump flies over; for the Pareto front of
 the 15,731 results of ``P = S`` at (5,0), which are 5 behaviors, where a
 walk per pair of results takes minutes; for functional extraction of many
 jumps that land on one long jump chain, where a chase that re-walks the

@@ -279,6 +279,26 @@ def test_minimize_examples():
     assert len(minimize(collapse_divergence(chain))) == 1
 
 
+def test_minimize_on_delay_chains():
+    # a delay node's class is its delay count and its core's class: delay
+    # loops of any length are one self-loop, divergence signatures are
+    # kept, D nodes merge, and chains into one core share their delays
+    for loop in ("P = sigma(P)", "P = sigma(Q)\nQ = sigma(R)\nR = sigma(P)"):
+        assert print_thread(minimize(parse_thread(loop))) == "T0 = sigma(T0)"
+    once, twice = minimize(make_delay(make_d(), 1)), minimize(make_delay(make_d(), 2))
+    assert (len(once), len(twice)) == (2, 3)
+    assert once != twice
+    two_ds = make_post("a", make_d(), make_d())
+    assert len(two_ds) == 3
+    assert print_thread(minimize(two_ds)) == "T0 = a ? T1 : T1\nT1 = D"
+    rng = random.Random(41)
+    for _ in range(100):
+        g = random_graph(rng, allow_delay=False)
+        h = make_post("a", make_delay(g, 2), make_delay(g, 3))
+        assert len(minimize(h)) == len(minimize(g)) + 4
+        assert bisimilar(minimize(h), h)
+
+
 def test_minimize_preserves_and_shrinks():
     rng = random.Random(31)
     for _ in range(200):
