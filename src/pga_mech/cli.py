@@ -15,7 +15,6 @@ from .extraction import extract_functional, extract_mechanistic
 from .instructions import PgaSyntaxError, parse_pga, print_pga
 from .ordering import (
     _IMPROVING,
-    bisimilar,
     compare,
     is_implementation,
     is_pre_extraction,
@@ -189,10 +188,7 @@ def cmd_codegen(thread_path, apply_fa) -> None:
             _fail(2, "thread contains delays; apply functional abstraction first (--fa)")
         graph = functional_abstraction(graph)
     graph = minimize_graph(graph)
-    seq = codegen(graph)
-    if not (bisimilar(extract_functional(seq), graph) and is_implementation(seq, graph)):
-        _fail(3, "generated sequence failed its self-check")
-    click.echo(print_pga(seq))
+    click.echo(print_pga(codegen(graph)))
 
 
 @main.command("search")

@@ -3,10 +3,11 @@
 ``unchain``, ``eliminate_jump_to_termination`` and ``improve_step`` return
 each step with its evidence: the verdict of comparing the mechanistic
 behavior after against the one before.  ``rewrite_negtest_jump`` checks
-that the behavior is unchanged.  A verified rewrite that would worsen or
-change the functional behavior raises instead of returning — rules are
-verified, not trusted.  ``splice``, ``expand_test_chain`` and ``unroll``
-are unverified building blocks.
+that the behavior is unchanged, and ``codegen`` that the thread improves
+the behavior of the sequence it emits.  A verified rewrite that would
+worsen or change the functional behavior raises instead of returning —
+rules are verified, not trusted.  ``splice``, ``expand_test_chain`` and
+``unroll`` are unverified building blocks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .instructions import (
     pos_test,
     reachable_positions,
 )
-from .ordering import _FORWARD, _IMPROVING, ComparisonVerdict, _walk_resolutions, compare
+from .ordering import (_FORWARD, _IMPROVING, ComparisonVerdict, _walk_resolutions, compare,
+                       is_implementation)
 from .threads import (
     D,
     DELAY,
@@ -252,11 +254,9 @@ def splice(seq: InstrSeq, at: int, remove_count: int,
         canon_t = target - copies * m
         if span_start <= canon_t < span_end:
             raise RewriteError("jump into spliced region")
-        t_new = map_pos(canon_t) + copies * new_m
-        k_new = t_new - map_pos(pos)
-        if k_new < 1:
-            raise RewriteError("splice would reverse a jump")
-        return jump(k_new)
+        # the target keeps its order relative to the jump under map_pos, and
+        # a wrapped target gains a whole new cycle length per copy: k >= 1
+        return jump(map_pos(canon_t) + copies * new_m - map_pos(pos))
 
     code = seq.prefix + (seq.cycle or ())
     return _edit(seq, at, remove_count, replacement,
@@ -409,7 +409,9 @@ def _layout(g: ThreadGraph) -> list[int] | None:
 def codegen(p: ThreadGraph) -> InstrSeq:
     """Emit a fixed-width three-instruction block per node: ``!;!;!`` for S,
     ``#0;#0;#0`` for D, and ``+a;#jt;#jf`` for a branch, with jump counters
-    wrapping through the repetition when the graph is cyclic."""
+    wrapping through the repetition when the graph is cyclic.  The output
+    is verified: unless it implements ``p`` (``is_implementation``),
+    ``RewriteVerificationError`` is raised."""
     if any(node.kind == DELAY for node in p.nodes):
         raise RewriteError("thread contains delays")
     order = _layout(p)
@@ -434,6 +436,7 @@ def codegen(p: ThreadGraph) -> InstrSeq:
             if jf <= 0:
                 jf += total
             out.extend((pos_test(node.action), jump(jt), jump(jf)))
-    if cyclic:
-        return InstrSeq((), tuple(out))
-    return InstrSeq(tuple(out))
+    seq = InstrSeq((), tuple(out)) if cyclic else InstrSeq(tuple(out))
+    if not is_implementation(seq, p):
+        raise RewriteVerificationError("generated sequence failed its self-check")
+    return seq

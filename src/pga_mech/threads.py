@@ -103,7 +103,8 @@ _D_NODE = Node(D)
 class ThreadGraph:
     """Finite rooted behavior graph, normalized at construction."""
 
-    __slots__ = ("nodes", "root")
+    __slots__ = ("nodes",)
+    root = 0  # the nodes are numbered breadth-first from the root
 
     def __init__(self, nodes, root: int):
         nodes = list(nodes)
@@ -114,7 +115,6 @@ class ThreadGraph:
                 if s is None or not 0 <= s < len(nodes):
                     raise ValueError("edge target is not a node")
         self.nodes: tuple[Node, ...] = ThreadGraph._renumbered(nodes, root).nodes
-        self.root: int = 0
 
     @classmethod
     def _renumbered(cls, nodes, root: int, via=None) -> ThreadGraph:
@@ -162,7 +162,6 @@ class ThreadGraph:
         them, with every edge in range.  Nothing is checked or renumbered."""
         g = object.__new__(cls)
         g.nodes = tuple(nodes)
-        g.root = 0
         return g
 
     def __len__(self) -> int:

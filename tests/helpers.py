@@ -38,9 +38,6 @@ from pga_mech.instructions import (
     POS_TEST,
     TERMINATION,
     Instruction,
-    _branches,
-    _chase,
-    _slot,
     instruction_at,
 )
 from pga_mech.threads import (
@@ -762,7 +759,8 @@ def reference_extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
     reserved at allocation and filled when its entry of ``fill`` is worked
     off.  The validating constructor checks every edge and numbers the
     result breadth-first, so no claim about the order of allocation is
-    taken on trust."""
+    taken on trust.  The position arithmetic, the jump chase and the test
+    branches are written here, not taken from the library."""
     code = seq.prefix + (seq.cycle or ())
     n, m = seq.prefix_len, seq.cycle_len
     nodes: list = []  # post and delay nodes are None until filled
@@ -780,8 +778,14 @@ def reference_extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
             d_id = alloc(_D_NODE)
         return d_id
 
+    def slot(p: int) -> int | None:
+        # the prefix slot, the cycle slot, or None past the end
+        if p < n:
+            return p
+        return n + (p - n) % m if m else None
+
     def node_at(p: int) -> int:
-        p = _slot(n, m, p)
+        p = slot(p)
         if p is None:
             return shared_d()
         if p in memo:
@@ -801,7 +805,11 @@ def reference_extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
             # transparent jump: every jump of the chain shares the node it
             # lands on; a cycle of jumps is deadlock
             passed: set[int] = set()
-            t = _chase(code, n, m, p, memo, passed)
+            t = p
+            while (t is not None and t not in memo and t not in passed
+                   and code[t].kind == JUMP and code[t].counter):
+                passed.add(t)
+                t = slot(t + code[t].counter)
             if t in memo:
                 nid = memo[t]
             elif t is None or t in passed or code[t].kind == JUMP:  # or #0
@@ -822,7 +830,8 @@ def reference_extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
         if ins.kind == JUMP:  # delay for a jump
             nodes[nid] = _new(Node, (DELAY, None, node_at(p + ins.counter), None, None))
         else:
-            t, f = _branches(p, ins)
+            t, f = ((p + 1, p + 2) if ins.kind == POS_TEST else
+                    (p + 2, p + 1) if ins.kind == NEG_TEST else (p + 1, p + 1))
             nodes[nid] = _new(Node, (POST, ins.action, None, node_at(t), node_at(f)))
     return ThreadGraph(nodes, 0)
 

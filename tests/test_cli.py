@@ -2,6 +2,7 @@ import json
 
 from click.testing import CliRunner
 
+from pga_mech import neg_test, rewrites
 from pga_mech.cli import main
 
 
@@ -172,6 +173,22 @@ def test_codegen(tmp_path):
     d_path = tmp_path / "d.thread"
     d_path.write_text("P = D\n")
     assert run("codegen", "--thread-file", str(d_path)).output == "#0;#0;#0\n"
+    loop_path = tmp_path / "loop.thread"
+    loop_path.write_text("P = a ? Q : P\nQ = b . P\n")
+    result = run("codegen", "--thread-file", str(loop_path))
+    assert result.stdout == "(+a;#2;#4;+b;#2;#1)^w\n"
+    assert result.exit_code == 0
+
+
+def test_codegen_failed_self_check_exit_3(tmp_path, monkeypatch):
+    # a code generator that emits -a for +a swaps every branch
+    monkeypatch.setattr(rewrites, "pos_test", neg_test)
+    path = tmp_path / "p.thread"
+    path.write_text("P = a ? Q : R\nQ = S\nR = D\n")
+    result = run("codegen", "--thread-file", str(path))
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: generated sequence failed its self-check\n"
 
 
 def test_codegen_delays_require_fa(tmp_path):

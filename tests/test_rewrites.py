@@ -142,6 +142,14 @@ def test_rewrite_negtest_jump_equal_behavior():
     assert compare(extract_mechanistic(after), extract_mechanistic(before)) is ComparisonVerdict.EQUAL
 
 
+def test_rewrite_negtest_jump_failed_verification(monkeypatch):
+    # with -b emitted for +b the rewrite swaps the two replies' runs
+    monkeypatch.setattr(rewrites, "pos_test", neg_test)
+    with pytest.raises(RewriteVerificationError,
+                       match="^negative-test rewrite at 0 changed behavior: "):
+        rewrite_negtest_jump(parse_pga("-b;!;#2;c;!"), 0)
+
+
 def test_rewrite_negtest_jump_errors():
     with pytest.raises(RewriteError):
         rewrite_negtest_jump(parse_pga("-b;!;a"), 0)
@@ -231,6 +239,33 @@ def test_rewrite_input_checks():
         with pytest.raises(RewriteError,
                            match="^span starts past the end of a finite sequence$"):
             rewrite(parse_pga("a;!"))
+
+
+def test_splice_keeps_jumps_forward():
+    # splice's remap has no check for a reversed jump; no kept jump of
+    # counter >= 1 may come out with a counter < 1
+    rng = random.Random(57)
+    pool = (basic("x"), TERMINATE, jump(0), jump(1), jump(3))
+    spliced = 0
+    for _ in range(3000):
+        s = random_seq(rng, max_prefix=6, max_cycle=6)
+        n, m = s.prefix_len, s.cycle_len
+        at = rng.randrange(n + m)
+        rc = rng.randint(0, (n if at < n else n + m) - at)
+        repl = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        try:
+            out = splice(s, at, rc, repl)
+        except RewriteError:
+            continue
+        spliced += 1
+        delta = len(repl) - rc
+        for p in range(n + m):
+            ins = instruction_at(s, p)
+            if ins.kind != JUMP or ins.counter < 1 or at <= p < at + rc:
+                continue
+            kept = instruction_at(out, p if p < at else p + delta)
+            assert kept.kind == JUMP and kept.counter >= 1, (s, at, rc, repl)
+    assert spliced > 1000
 
 
 def test_splice_prefix_shift():
@@ -442,6 +477,15 @@ def test_codegen_goldens():
     assert out.cycle is not None
     assert bisimilar(extract_functional(out), loop)
     assert is_implementation(out, loop)
+
+
+def test_codegen_verifies_its_output(monkeypatch):
+    ends = parse_thread("P = a ? Q : R\nQ = S\nR = D")
+    assert print_pga(codegen(ends)) == "+a;#2;#4;!;!;!;#0;#0;#0"
+    monkeypatch.setattr(rewrites, "pos_test", neg_test)
+    with pytest.raises(RewriteVerificationError,
+                       match="^generated sequence failed its self-check$"):
+        codegen(ends)
 
 
 def test_codegen_rejects_delays():
