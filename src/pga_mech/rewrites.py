@@ -302,22 +302,6 @@ def expand_test_chain(seq: InstrSeq, p: int, r: int, new_target: int) -> InstrSe
 
 # --- improvement search ------------------------------------------------------
 
-def _expansion_sites(seq: InstrSeq,
-                     reachable: list[tuple[int, Instruction]]) -> list[tuple[int, str]]:
-    """The reachable ``+b;#k;!`` sites of ``seq`` with their actions."""
-    sites = []
-    for p, ins in reachable:
-        if ins.kind != POS_TEST:
-            continue
-        try:
-            _, i1, i2 = _region_span(seq, p, 3)
-        except RewriteError:
-            continue
-        if i1.kind == JUMP and i1.counter >= 1 and i2.kind == TERMINATION:
-            sites.append((p, ins.action))
-    return sites
-
-
 def _candidates(seq: InstrSeq) -> Iterator[tuple[str, int, InstrSeq]]:
     """The rewrite catalog's candidates for ``seq`` as (rule, site,
     candidate), built one at a time in the order ``improve_step`` tries
@@ -331,15 +315,19 @@ def _candidates(seq: InstrSeq) -> Iterator[tuple[str, int, InstrSeq]]:
             yield rule, run[0][0], run[-1][2]
     for base in (seq,) if seq.cycle is None else (seq, unroll(seq)):
         reachable = _reachable(base)
-        for p, action in _expansion_sites(base, reachable):
+        for p, site in reachable:
+            if site.kind != POS_TEST:
+                continue
             for t, ins in reachable:
-                if ins.kind not in (POS_TEST, NEG_TEST) or ins.action != action:
+                if ins.kind not in (POS_TEST, NEG_TEST) or ins.action != site.action:
                     continue
                 for r in range(1, base.total_len + 1):
+                    # expand_test_chain rejects a non-site or a pair that
+                    # cannot splice whatever r is, so the first error ends it
                     try:
                         candidate = expand_test_chain(base, p, r, t)
                     except RewriteError:
-                        continue
+                        break
                     yield "expand-test-chain", p, candidate
 
 
@@ -351,14 +339,18 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
     accepted: 1. unchain; 2. eliminate-jump-to-termination;
     3. expand-test-chain for each ``+b;#k;!`` site x matching test x ``r``
     = 1 up to the length, first on the sequence and then on its unrolling.
+    ``expand_test_chain`` decides once per (site, target) whether it
+    splices: what it rejects, it rejects for every ``r``.
     The unrolled pass is kept because it expands a cycle site's second copy
     alone, and that can be the only strict improvement: in
     ``+a;#4;!;(-b;!;+b;#4;!;#3;#1)^w`` the prefix jumps onto the site's
     first copy, so no expansion of the sequence itself splices.
     Each candidate costs an extraction and a walk over the product of its
     delay resolution with the sequence's, resolved once per step.  The
-    walk stops at the first edge where the candidate spends more delays,
-    so a candidate that does not improve is usually rejected early.
+    walk stops at the first edge where the candidate spends more delays:
+    on small random sequences a losing candidate stops after a fraction
+    of its graph, but on long members of the ``(+a;#4;+b;#4;!)^w`` chain,
+    which differ only late, it visits nearly all of it.
     ``rewrite_negtest_jump`` followed by unchain is not tried: its result
     is bisimilar to unchain's (the moved jump is entered only from its test
     and lands where the old one did), so it never improves when unchain

@@ -13,7 +13,7 @@ the node's successors: replies that reach one slot need one successor, and
 a reply that runs off the end needs D.  By pigeonhole, a branch is dropped
 when the target's S and post nodes not yet paired outnumber the slots left
 to pair them with, and a shape with fewer slots than those nodes is
-skipped.
+skipped.  The ``max_candidates`` budget is one count across all shapes.
 
 ``pareto_front`` keeps the results whose mechanistic behavior no other
 result strictly improves.  It costs one extraction per result plus one
@@ -46,7 +46,7 @@ from .instructions import (
     neg_test,
     pos_test,
 )
-from .ordering import _walk_resolutions, improves
+from .ordering import _walk_resolutions, is_implementation
 from .threads import (
     D,
     DELAY,
@@ -132,8 +132,9 @@ def _allowed(n: int, m: int, s: int, kind: str, action: str | None, t_d: bool, f
 
 
 class _ShapeSearch:
-    """Demand-driven enumeration of the sequences of one shape: prefix
-    length ``n`` and cycle length ``m``.
+    """Demand-driven enumeration of the sequences that ``p`` improves:
+    ``results(n, m)`` lists those of prefix length ``n`` and cycle length
+    ``m``.  The target's facts and the budget's count span all shapes.
 
     The minimal delay-free target is walked along the partial sequence from
     position 0 and node 0, the target's root, jumps transparent, pairing
@@ -152,10 +153,15 @@ class _ShapeSearch:
     meets it first, at that node, so the walk never checks a slot's fit.
     """
 
-    def __init__(self, check: ThreadGraph | None, target: ThreadGraph, n: int, m: int,
-                 alphabet: tuple[str, ...], spend) -> None:
-        self.check, self.tnodes = check, target.nodes
-        self.n, self.m, self.alphabet, self.spend = n, m, alphabet, spend
+    def __init__(self, p: ThreadGraph, alphabet: tuple[str, ...],
+                 max_candidates: int | None) -> None:
+        target = minimize(functional_abstraction(p))
+        # a delay-free p spends no delay anywhere, so improving on it is
+        # functional equivalence, which every finished walk has established
+        self.check = p if any(node.kind == DELAY for node in p.nodes) else None
+        self.tnodes, self.alphabet = target.nodes, alphabet
+        self.max_candidates, self.spent = max_candidates, 0
+        # pigeonhole: each S or post node of the target needs a slot of its own
         self.need = sum(node.kind != D for node in target.nodes)
         # each node's arguments to ``_allowed``: kind, action, whether its
         # true and false successors are D and whether they are one node
@@ -164,19 +170,28 @@ class _ShapeSearch:
             (POST, node.action, self.tnodes[node.true].kind == D,
              self.tnodes[node.false].kind == D, node.true == node.false)
             for node in target.nodes]
-        self.options = _slot_options(n + m, alphabet)
+
+    def results(self, n: int, m: int) -> list[InstrSeq]:
+        """Every matching sequence of the shape, by option indices."""
+        self.n, self.m = n, m
+        self.options = _slot_options(n + m, self.alphabet)
         self.index = {id(ins): i for i, ins in enumerate(self.options)}
         self.slots: list[Instruction | None] = [None] * (n + m)
         self.keys: list[tuple[int, ...]] = []
-
-    def results(self) -> list[InstrSeq]:
-        """Every matching sequence of the shape, by option indices."""
         self._walk({}, [(0, 0)])
-        n, out = self.n, []
+        out = []
         for key in sorted(self.keys):
             ins = [self.options[c] for c in key]
-            out.append(InstrSeq(tuple(ins[:n]), tuple(ins[n:]) if self.m else None))
+            out.append(InstrSeq(tuple(ins[:n]), tuple(ins[n:]) if m else None))
         return out
+
+    def _spend(self, count: int) -> None:
+        """Count ``count`` sequences checked or emitted against the budget."""
+        self.spent += count
+        if self.max_candidates is not None and self.spent > self.max_candidates:
+            raise SearchBudgetExceeded(
+                f"search exceeds max_candidates={self.max_candidates} sequences "
+                f"checked or emitted (at prefix length {self.n}, cycle length {self.m})")
 
     def _walk(self, seen: dict[int, int], stack: list[tuple[int, int]]) -> None:
         """Continue the walk from ``stack`` (position, target node) items,
@@ -239,11 +254,11 @@ class _ShapeSearch:
         if self.check is not None:
             probe = [ins or options[0] for ins in slots]
             seq = InstrSeq(tuple(probe[:n]), tuple(probe[n:]) if m else None)
-            if not improves(self.check, extract_mechanistic(seq)):
-                self.spend(1, n, m)
+            if not is_implementation(seq, self.check):
+                self._spend(1)
                 return
         free = [s for s, ins in enumerate(slots) if ins is None]
-        self.spend(len(options) ** len(free), n, m)
+        self._spend(len(options) ** len(free))
         key = [-1 if ins is None else self.index[id(ins)] for ins in slots]
         for filling in product(range(len(options)), repeat=len(free)):
             for s, c in zip(free, filling):
@@ -278,29 +293,13 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds,
     raises ``SearchBudgetExceeded`` before exceeding it.  None means no
     bound.
     """
-    target = minimize(functional_abstraction(p))
-    # a delay-free p spends no delay anywhere, so improving on it is
-    # functional equivalence, which every finished walk has established
-    check = p if any(node.kind == DELAY for node in p.nodes) else None
-    alphabet = tuple(sorted(set(bounds.alphabet)))
-    spent = 0
-
-    def spend(count: int, n: int, m: int) -> None:
-        nonlocal spent
-        spent += count
-        if max_candidates is not None and spent > max_candidates:
-            raise SearchBudgetExceeded(
-                f"search exceeds max_candidates={max_candidates} sequences "
-                f"checked or emitted (at prefix length {n}, cycle length {m})")
-
-    # pigeonhole: each S or post node of the target needs a slot of its own
-    need = sum(node.kind != D for node in target.nodes)
+    search = _ShapeSearch(p, tuple(sorted(set(bounds.alphabet))), max_candidates)
     found: list[InstrSeq] = []
-    for total in range(max(1, need), bounds.max_prefix + bounds.max_cycle + 1):
+    for total in range(max(1, search.need), bounds.max_prefix + bounds.max_cycle + 1):
         for m in range(0, min(total, bounds.max_cycle) + 1):
             n = total - m
             if n <= bounds.max_prefix:
-                found += _ShapeSearch(check, target, n, m, alphabet, spend).results()
+                found += search.results(n, m)
     return found
 
 

@@ -225,8 +225,8 @@ def test_search_matches_reference():
     # rarely empty), and every third one a mechanistic behavior, with
     # delays where the sequence jumps (so the improvement check runs);
     # each also with one node split in two, which the search must minimize;
-    # a prefix of 4 only without a cycle, where replies run off the end (the
-    # reference takes seconds on (4, 1) and (4, 2))
+    # a prefix of 4 only without a cycle, where replies run off the end
+    # (cyclic shapes with a prefix of 4 take tight targets, below)
     rng = random.Random(3007)
     split_rng = random.Random(3008)
     shapes = set()
@@ -254,6 +254,32 @@ def test_search_matches_reference():
             non_minimal.add(bool(split_found))
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
     assert non_minimal == {False, True}
+
+
+def test_search_matches_reference_prefix_4_with_cycle():
+    # tight targets, as perfbench's search ops draw them: the behavior of a
+    # random fully reachable sequence of the shape whose minimal functional
+    # graph needs all but at most one of its slots.  A looser target leaves
+    # slots free, and each free slot multiplies the result set, and the
+    # reference's time, by the number of slot options.  Every third target
+    # is mechanistic, with a delay, so the improvement check runs.
+    rng = random.Random(3010)
+    for k, (n, m) in enumerate(((4, 1), (4, 2), (4, 1), (4, 1), (4, 1), (4, 2))):
+        alphabet = (("a",), ("b",), ("a", "b"))[k % 3]
+        extract = extract_mechanistic if k % 3 == 2 else extract_functional
+        while True:
+            seq = random_seq(rng, max_prefix=n, max_cycle=m, actions=alphabet)
+            if (seq.prefix_len, seq.cycle_len) != (n, m) or len(reachable_positions(seq)) < n + m:
+                continue
+            need = sum(node.kind != D for node in minimize(extract_functional(seq)).nodes)
+            target = extract(seq)
+            if need >= n + m - 1 and (extract is extract_functional
+                                      or any(node.kind == DELAY for node in target.nodes)):
+                break
+        bounds = SearchBounds(n, m, alphabet)
+        found = search_implementations(target, bounds)
+        assert found  # seq's own shape implements its behavior
+        assert found == reference_search_implementations(target, bounds), (target.nodes, bounds)
 
 
 def test_search_non_minimal_target():

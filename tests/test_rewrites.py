@@ -410,6 +410,39 @@ def test_expand_test_chain_lands_on_target_image():
     assert returned > 1000 and raised_behind > 1000
 
 
+def test_expand_test_chain_rejects_whatever_r_is():
+    # improve_step stops a (site, target) pair at its first RewriteError,
+    # which is sound because no check of expand_test_chain depends on r:
+    # the site's shape, the target's test, a prefix target behind the site
+    # and a flyover jump into the span; a pair raises for every r or none
+    rng = random.Random(99)
+    pairs = rejected = 0
+    for _ in range(1400):
+        s = random_seq(rng, max_prefix=4, max_cycle=4, actions=("a", "b"))
+        s = _plant(rng, s, (pos_test(rng.choice("ab")), jump(rng.randint(1, 6)), TERMINATE))
+        for seq in (s,) if s.cycle is None else (s, unroll(s)):
+            reachable = sorted(reachable_positions(seq))
+            every_r = set(range(1, seq.total_len + 1))
+            for p in reachable:
+                site = instruction_at(seq, p)
+                if site.kind != POS_TEST:
+                    continue
+                for t in reachable:
+                    ins = instruction_at(seq, t)
+                    if ins.kind not in (POS_TEST, NEG_TEST) or ins.action != site.action:
+                        continue
+                    raised = set()
+                    for r in every_r:
+                        try:
+                            expand_test_chain(seq, p, r, t)
+                        except RewriteError:
+                            raised.add(r)
+                    assert raised in (set(), every_r), (print_pga(seq), p, t, sorted(raised))
+                    pairs += 1
+                    rejected += bool(raised)
+    assert rejected > 5000 and pairs - rejected > 1000
+
+
 def test_improve_step_chain():
     x, y, z = chain_witnesses()
     chain = [x]
@@ -563,6 +596,23 @@ def test_search_budget():
     with pytest.raises(ValueError, match="max_candidates=100000"):
         search_implementations(parse_thread("P = S"), SearchBounds(7, 0, ("a",)),
                                max_candidates=100000)
+
+
+@pytest.mark.parametrize("text, results, spent", [
+    # the last shape, (3, 1), emits 1,129 of the 1,320, so a budget that
+    # restarted at each shape would let 1,319 through
+    ("P = S", 1320, 1320),
+    # a delayed target: each of the 58 failed checks counts one as well
+    ("P = a . Q; Q = sigma(R); R = S", 80, 138),
+])
+def test_search_budget_counts_across_shapes(text, results, spent):
+    target = parse_thread(text)
+    bounds = SearchBounds(3, 1, ("a",))
+    assert len(search_implementations(target, bounds, max_candidates=spent)) == results
+    with pytest.raises(SearchBudgetExceeded,
+                       match=rf"^search exceeds max_candidates={spent - 1} sequences checked "
+                             r"or emitted \(at prefix length 3, cycle length 1\)$"):
+        search_implementations(target, bounds, max_candidates=spent - 1)
 
 
 def test_search_walk_is_pruned(monkeypatch):
