@@ -16,19 +16,23 @@ to pair them with, and a shape with fewer slots than those nodes is
 skipped.  The ``max_candidates`` budget is one count across all shapes.
 
 ``pareto_front`` keeps the results whose mechanistic behavior no other
-result strictly improves.  It costs one extraction per result plus one
-comparison per pair of distinct mechanistic graphs, which can outnumber the
-distinct behaviors: ``(a)^w`` and ``(a;a)^w`` are bisimilar but have
-different graphs.  Known limitation: two results
-that improve each other without being bisimilar drop each other, so the
-front can come out empty.
+result strictly improves.  It is a skyline over the improvement preorder's
+classes: one extraction per result, then one relation walk per distinct
+mechanistic graph per class still in the window of classes that nothing
+seen so far strictly improves, never more than one walk per pair of
+distinct graphs.  For ``P = a . P`` over ``{a}`` at (3,2) and (2,3) that
+is 0.12 s and 0.14 s, where a walk per pair took 6.0 s and 13.2 s.
+Distinct graphs can outnumber the distinct behaviors: ``(a)^w`` and
+``(a;a)^w`` are bisimilar but have different graphs.  Known limitation:
+two results that improve each other without being bisimilar drop each
+other, so the front can come out empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 
 from .extraction import extract_mechanistic
 from .instructions import (
@@ -307,23 +311,45 @@ def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     """The members whose mechanistic behavior no other member strictly
     improves, in input order with repeats kept.
 
-    Each member is extracted once and the members are grouped by graph.
-    Extraction numbers nodes breadth-first and graphs compare on their
-    nodes, so equal graphs are bisimilar and never strictly improve each
-    other; the cost is one extraction per member plus one relation walk per
-    pair of distinct graphs.  Bisimilar members can still have distinct
-    graphs, such as those of ``(a)^w`` and ``(a;a)^w``.  Known limitation:
-    two members that improve each other without being bisimilar drop each
-    other, so the front can come out empty.
+    Each member is extracted once, and its graph is numbered on first
+    sight; equal graphs are bisimilar, so members that share a graph share
+    its fate.  The distinct graphs then pass through a window of the
+    preorder's classes that no graph seen so far strictly improves.  A
+    class is held as its first graph's delay resolution, whether every
+    member is bisimilar to that graph, and its members.  One relation walk
+    against each window class places a new graph: it joins the class it
+    improves both ways, it is dropped if a class strictly improves it, and
+    it removes every class it strictly improves.  Strict improvement
+    between classes is a strict partial order, so window classes never
+    compare and the result does not depend on the order of arrival.  The
+    front is the members of the window classes whose members are all
+    bisimilar.  The cost is one extraction per member plus one walk per
+    distinct graph per window class it meets, never more than one walk per
+    pair of distinct graphs: for ``P = a . P`` over ``{a}``, the 1,456
+    graphs at (3,2) take 0.12 s, not 6.0 s, and the 2,269 at (2,3) 0.14 s,
+    not 13.2 s.  Bisimilar members can still have distinct graphs, such as
+    those of ``(a)^w`` and ``(a;a)^w``.  Known limitation: two members that
+    improve each other without being bisimilar drop each other, so the
+    front can come out empty.
     """
     graphs = [extract_mechanistic(s) for s in seqs]
-    resolved = [(g, _delay_resolution(g)) for g in dict.fromkeys(graphs)]
-    dropped: set[ThreadGraph] = set()
-    for (g, gr), (h, hr) in combinations(resolved, 2):
-        # one walk decides ``strictly_improves`` both ways
-        _, forward, backward, exact = _walk_resolutions(gr, hr)
-        if forward and not exact:
-            dropped.add(h)
-        if backward and not exact:
-            dropped.add(g)
-    return [s for s, g in zip(seqs, graphs) if g not in dropped]
+    ids: dict[ThreadGraph, int] = {}
+    gids = [ids.setdefault(g, len(ids)) for g in graphs]
+    window: list[list] = []  # [resolution, pure, graph ids] per class
+    for i, h in enumerate(ids):
+        hr = _delay_resolution(h)
+        kept = []
+        for cls in window:
+            # forward: the class improves h; backward: h improves the class
+            _, forward, backward, exact = _walk_resolutions(cls[0], hr)
+            if forward:
+                if backward:
+                    cls[1] &= exact
+                    cls[2].append(i)
+                break  # h compares with no other window class
+            if not backward:
+                kept.append(cls)
+        else:
+            window = kept + [[hr, True, [i]]]
+    front = {i for _, pure, members in window if pure for i in members}
+    return [s for s, i in zip(seqs, gids) if i in front]

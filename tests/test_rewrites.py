@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -569,10 +570,15 @@ _PARETO_POOLS = tuple(
     for text, n, m in (("P = a ? Q : R; Q = S; R = D", 4, 0),
                        ("P = S", 3, 0),
                        ("P = a . P", 1, 2)))
+_PARETO_MEMBERS = [st.sampled_from(pool) for pool in _PARETO_POOLS]
+# a fourth pool draws each member from one of the three or from the chain
+# witnesses, so a list also holds functionally different members and
+# classes that strictly improve each other
+_PARETO_MEMBERS.append(st.one_of(*_PARETO_MEMBERS, st.sampled_from(chain_witnesses())))
 
 
-@given(st.sampled_from(_PARETO_POOLS).flatmap(
-    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
+@given(st.sampled_from(_PARETO_MEMBERS).flatmap(
+    lambda members: st.lists(members, min_size=1, max_size=12)))
 @example(_PARETO_POOLS[0])
 @example(_PARETO_POOLS[1])
 @example(_PARETO_POOLS[2])
@@ -580,6 +586,16 @@ _PARETO_POOLS = tuple(
 def test_pareto_front_matches_pairwise_definition(seqs):
     # members may repeat; order and multiplicity must survive
     assert pareto_front(seqs) == reference_pareto_front(seqs)
+
+
+def test_pareto_front_is_independent_of_arrival_order():
+    # a strict chain (a class that arrives early leaves the front, one that
+    # arrives late is dropped at once), two members that improve each
+    # other without being bisimilar, and a functionally different member
+    members = [*chain_witnesses(), parse_pga("+a;!;#0"), parse_pga("+a;!;#1;#0"),
+               parse_pga("a;!")]
+    for seqs in itertools.permutations(members):
+        assert pareto_front(list(seqs)) == reference_pareto_front(list(seqs))
 
 
 def test_search_budget():

@@ -7,7 +7,9 @@ linear.  Also for implementation search on ``a ? b.S : c.S``, where
 index-order enumeration spends most of its time on the options of slots
 that a jump flies over; for the Pareto front of
 the 15,731 results of ``P = S`` at (5,0), which are 5 behaviors, where a
-walk per pair of results takes minutes; for functional extraction of many
+walk per pair of results takes minutes, and of ``P = a . P`` over ``{a}`` at
+(3,2) and (2,3), whose 1,456 and 2,269 distinct graphs take 6.0 s and
+13.2 s at a walk per pair of graphs; for functional extraction of many
 jumps that land on one long jump chain, where a chase that re-walks the
 chain from every jump is quadratic; and for the delay resolution of
 ``#1ⁿ;a;(#1)^w``, a long delay chain in front of a delay loop, where a
@@ -132,6 +134,14 @@ def test_pareto_front_of_loose_target_at_5():
     expected = [s for s in results if extract_mechanistic(s) == make_s()]
     assert len(expected) == 10801
     assert front == expected
+
+
+def test_pareto_front_of_loop_target_at_3_2_and_2_3():
+    loop = parse_thread("P = a . P")
+    for (n, m), found, kept in (((3, 2), 20337, 480), ((2, 3), 21057, 507)):
+        results = search_implementations(loop, SearchBounds(n, m, ("a",)))
+        assert len(results) == found
+        assert len(_timed(pareto_front, results, budget=1.0)) == kept
 
 
 def test_converging_jump_chains_extract_functional_at_4000():
