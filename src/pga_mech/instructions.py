@@ -140,6 +140,17 @@ class InstrSeq:
         if not self.prefix and self.cycle is None:
             raise ValueError("instruction sequence must be nonempty")
 
+    @classmethod
+    def _trusted(cls, prefix: tuple[Instruction, ...],
+                 cycle: tuple[Instruction, ...] | None) -> InstrSeq:
+        """The sequence of ``prefix`` and ``cycle`` as they stand: a tuple
+        of instructions and None or a nonempty tuple, not both empty, as
+        the constructor would leave them.  Nothing is checked or copied."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "prefix", prefix)
+        object.__setattr__(seq, "cycle", cycle)
+        return seq
+
     @property
     def prefix_len(self) -> int:
         return len(self.prefix)

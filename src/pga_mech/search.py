@@ -151,42 +151,58 @@ class _ShapeSearch:
     them.  ``check`` is the behavior each finished walk is checked to
     improve on, or None when the walk alone decides.
 
-    Invariant: ``slots`` is the one record of the choices, None where
-    unassigned.  A slot is assigned only when the walk reaches it, to an
-    option ``_allowed`` admits at the target node there, and the next walk
-    meets it first, at that node, so the walk never checks a slot's fit.
+    Invariant: ``slots`` and ``picks`` are the one record of the choices,
+    assigned and cleared together: ``slots[s]`` holds the option numbered
+    ``picks[s]``, or None and -1 where unassigned, and ``free`` counts the
+    unassigned slots.  A slot is assigned only when the walk reaches it, to
+    an option ``_allowed`` admits at the target node there, and the next
+    walk meets it first, at that node, so the walk never checks a slot's
+    fit.
     """
 
     def __init__(self, p: ThreadGraph, alphabet: tuple[str, ...],
                  max_candidates: int | None) -> None:
-        target = minimize(functional_abstraction(p))
+        delayed = any(node.kind == DELAY for node in p.nodes)
         # a delay-free p spends no delay anywhere, so improving on it is
         # functional equivalence, which every finished walk has established
-        self.check = p if any(node.kind == DELAY for node in p.nodes) else None
+        self.check = p if delayed else None
+        # on a delay-free p, functional abstraction only merges D nodes,
+        # which minimize merges as well
+        target = minimize(functional_abstraction(p) if delayed else p)
         self.tnodes, self.alphabet = target.nodes, alphabet
+        self.kinds = [node.kind for node in target.nodes]
         self.max_candidates, self.spent = max_candidates, 0
         # pigeonhole: each S or post node of the target needs a slot of its own
-        self.need = sum(node.kind != D for node in target.nodes)
+        self.need = sum(kind != D for kind in self.kinds)
         # each node's arguments to ``_allowed``: kind, action, whether its
         # true and false successors are D and whether they are one node
         self.facts = [
             (node.kind, node.action, False, False, False) if node.kind != POST else
-            (POST, node.action, self.tnodes[node.true].kind == D,
-             self.tnodes[node.false].kind == D, node.true == node.false)
+            (POST, node.action, self.kinds[node.true] == D,
+             self.kinds[node.false] == D, node.true == node.false)
             for node in target.nodes]
 
     def results(self, n: int, m: int) -> list[InstrSeq]:
         """Every matching sequence of the shape, by option indices."""
         self.n, self.m = n, m
-        self.options = _slot_options(n + m, self.alphabet)
-        self.index = {id(ins): i for i, ins in enumerate(self.options)}
+        self.options = options = _slot_options(n + m, self.alphabet)
+        # the canonical slot of each position a walk item starts at, 0 to
+        # n + m + 1: the root, and the replies of an action instruction in
+        # any slot; where a jump lands is left to ``_chase``
+        self.at = [_slot(n, m, q) for q in range(n + m + 2)]
+        # ``_allowed`` per slot and target node, filled on first use
+        self.fits: list[list[tuple[int, ...] | None]] = [
+            [None] * len(self.tnodes) for _ in range(n + m)]
         self.slots: list[Instruction | None] = [None] * (n + m)
+        self.picks = [-1] * (n + m)
+        self.free = n + m
         self.keys: list[tuple[int, ...]] = []
         self._walk({}, [(0, 0)])
+        seq = InstrSeq._trusted
         out = []
         for key in sorted(self.keys):
-            ins = [self.options[c] for c in key]
-            out.append(InstrSeq(tuple(ins[:n]), tuple(ins[n:]) if m else None))
+            ins = [options[c] for c in key]
+            out.append(seq(tuple(ins[:n]), tuple(ins[n:]) if m else None))
         return out
 
     def _spend(self, count: int) -> None:
@@ -203,12 +219,15 @@ class _ShapeSearch:
         ``seen`` pairs each slot the walk has matched with its target node."""
         # an item that lands on an unassigned slot waits there, in
         # ``waiting`` (slot: target node), while the rest of the walk goes on
-        slots, n, m = self.slots, self.n, self.m
+        slots, at, kinds = self.slots, self.at, self.kinds
         waiting: dict[int, int] = {}
         while stack:
             start, tnode = stack.pop()
-            s = _chase(slots, n, m, start)
+            s = at[start]
             ins = None if s is None else slots[s]
+            if ins is not None and ins.kind == JUMP and ins.counter:
+                s = _chase(slots, self.n, self.m, s)
+                ins = None if s is None else slots[s]
             if ins is None and s is not None:  # an unassigned slot
                 # two nodes would meet in it as a non-jump, or at one landing
                 # of it as a jump; no two nodes of a minimal target are
@@ -216,9 +235,8 @@ class _ShapeSearch:
                 if waiting.setdefault(s, tnode) != tnode:
                     return
                 continue
-            node = self.tnodes[tnode]
             if ins is None or ins.kind == JUMP:  # off the end, #0 or a cycle of jumps
-                if node.kind != D:
+                if kinds[tnode] != D:
                     return
                 continue
             if s in seen:
@@ -229,6 +247,7 @@ class _ShapeSearch:
                 continue
             seen[s] = tnode
             if ins.kind != TERMINATION:
+                node = self.tnodes[tnode]
                 t, f = _branches(s, ins)
                 stack.append((t, node.true))
                 stack.append((f, node.false))
@@ -236,34 +255,45 @@ class _ShapeSearch:
             self._emit()
             return
         first, tnode = next(iter(waiting.items()))
-        kind = self.tnodes[tnode].kind
         # pigeonhole: each unpaired S or post node needs a free slot of its
         # own, and slot ``first`` can serve only its node, only as a non-jump
         paired = set(seen.values())
-        free = slots.count(None) - 1
+        free = self.free - 1
         unpaired = self.need - len(paired)
         jumps = unpaired <= free
-        others = unpaired - (kind != D and tnode not in paired) <= free
-        for i in _allowed(n, m, first, *self.facts[tnode], self.alphabet):
-            ins = self.options[i]
+        others = unpaired - (kinds[tnode] != D and tnode not in paired) <= free
+        allowed = self.fits[first][tnode]
+        if allowed is None:
+            allowed = self.fits[first][tnode] = _allowed(
+                self.n, self.m, first, *self.facts[tnode], self.alphabet)
+        options, picks = self.options, self.picks
+        items = [*reversed(waiting.items())]
+        self.free = free
+        for i in allowed:
+            ins = options[i]
             if jumps if ins.kind == JUMP else others:
-                slots[first] = ins
-                self._walk(dict(seen), [*reversed(waiting.items())])
-        slots[first] = None
+                slots[first], picks[first] = ins, i
+                self._walk(dict(seen), items.copy())
+        slots[first], picks[first] = None, -1
+        self.free = free + 1
 
     def _emit(self) -> None:
         """Check the finished walk once and record every filling of its
         don't-cares."""
-        n, m, options, slots = self.n, self.m, self.options, self.slots
+        n, m, options, picks = self.n, self.m, self.options, self.picks
         if self.check is not None:
-            probe = [ins or options[0] for ins in slots]
-            seq = InstrSeq(tuple(probe[:n]), tuple(probe[n:]) if m else None)
+            probe = [ins or options[0] for ins in self.slots]
+            seq = InstrSeq._trusted(tuple(probe[:n]), tuple(probe[n:]) if m else None)
             if not is_implementation(seq, self.check):
                 self._spend(1)
                 return
-        free = [s for s, ins in enumerate(slots) if ins is None]
+        if not self.free:  # no don't-cares: one sequence
+            self._spend(1)
+            self.keys.append(tuple(picks))
+            return
+        free = [s for s, c in enumerate(picks) if c < 0]
         self._spend(len(options) ** len(free))
-        key = [-1 if ins is None else self.index[id(ins)] for ins in slots]
+        key = picks.copy()
         for filling in product(range(len(options)), repeat=len(free)):
             for s, c in zip(free, filling):
                 key[s] = c

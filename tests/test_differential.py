@@ -282,6 +282,23 @@ def test_search_matches_reference_prefix_4_with_cycle():
         assert found == reference_search_implementations(target, bounds), (target.nodes, bounds)
 
 
+
+def test_functional_abstraction_of_delay_free_thread_minimizes_alike():
+    # the search minimizes a delay-free target without abstracting it
+    # first: on such a thread, functional abstraction only merges D nodes,
+    # which minimize merges as well
+    rng = random.Random(2324)
+    several_d = merged_more = 0
+    for _ in range(5000):
+        g = random_graph(rng, max_nodes=8, allow_delay=False)
+        fa = functional_abstraction(g)
+        assert minimize(fa) == minimize(g), g.nodes
+        several_d += sum(node.kind == D for node in g.nodes) > 1
+        merged_more += len(minimize(g)) < len(fa)
+    # the corpus has threads with several D nodes, and threads where
+    # minimize merges more than D nodes
+    assert several_d > 50 and merged_more > 300
+
 def test_search_non_minimal_target():
     # P and Q are bisimilar, and the one slot of (a)^w stands for both: a
     # search that gives each slot one target node has to minimize first

@@ -20,6 +20,7 @@ from pga_mech import (
     expand_test_chain,
     extract_functional,
     extract_mechanistic,
+    functional_abstraction,
     functionally_equivalent,
     has_adjacent_delays,
     improve_step,
@@ -30,6 +31,7 @@ from pga_mech import (
     make_post,
     make_prefix,
     make_s,
+    minimize,
     neg_test,
     pareto_front,
     parse_pga,
@@ -54,7 +56,7 @@ from pga_mech.instructions import (
     instruction_at,
 )
 from pga_mech.search import _ShapeSearch, _allowed, _slot_options
-from pga_mech.threads import POST
+from pga_mech.threads import D, POST
 
 from helpers import chain_witnesses, random_graph, random_seq, reference_pareto_front
 
@@ -634,7 +636,8 @@ def test_search_budget_counts_across_shapes(text, results, spent):
 def test_search_walk_is_pruned(monkeypatch):
     # no sequence of (4, 4) implements this target, so every branch of the
     # walk fails; an unpruned walk makes 637,511 steps before it is done,
-    # and the prunes leave 72,289
+    # and the prunes leave exactly 72,289, so a change that makes the
+    # search cheaper makes each step cheaper, not the steps fewer
     steps = 0
     walk = _ShapeSearch._walk
 
@@ -647,8 +650,58 @@ def test_search_walk_is_pruned(monkeypatch):
     target = parse_thread("P = a ? Q : R; Q = b ? P : T; R = c . P; T = S")
     bounds = SearchBounds(4, 4, ("a", "b", "c"))
     assert search_implementations(target, bounds, max_candidates=1000) == []
-    assert steps < 100_000
+    assert steps == 72_289
 
+
+
+def _tight_targets(rng, n, m, alphabet, count):
+    """Functional behaviors of random fully reachable sequences of shape
+    (n, m) whose minimal graph needs all but at most one slot, as
+    perfbench's search ops draw their targets."""
+    targets = []
+    while len(targets) < count:
+        seq = random_seq(rng, max_prefix=n, max_cycle=m, actions=alphabet)
+        if (seq.prefix_len, seq.cycle_len) != (n, m) or len(reachable_positions(seq)) < n + m:
+            continue
+        target = extract_functional(seq)
+        if sum(node.kind != D for node in minimize(target).nodes) >= n + m - 1:
+            targets.append(target)
+    return targets
+
+
+def test_search_results_are_well_formed_sequences():
+    # the search builds its results unchecked; each must be the value the
+    # checked constructor and the parser give, with the shape's cycle
+    rng = random.Random(2323)
+    cases = [(target, alphabet, 4, 0) for alphabet in (("a", "b"), ("a", "b", "c"))
+             for target in _tight_targets(rng, 4, 0, alphabet, 4)]
+    # ``P = S`` leaves don't-cares, and ``P = a . P`` needs a cycle
+    cases += [(parse_thread("P = S"), ("a",), n, m) for n in range(4) for m in range(2) if n + m]
+    cases += [(parse_thread("P = a . P"), ("a",), n, m) for n in range(3) for m in range(3) if n + m]
+    seen = set()
+    for target, alphabet, n, m in cases:
+        for s in _ShapeSearch(target, alphabet, None).results(n, m):
+            assert InstrSeq(s.prefix, s.cycle) == s
+            assert hash(InstrSeq(s.prefix, s.cycle)) == hash(s)
+            assert parse_pga(print_pga(s)) == s
+            assert type(s.prefix) is tuple and len(s.prefix) == n
+            assert (s.cycle is None) == (m == 0)
+            assert m == 0 or (type(s.cycle) is tuple and len(s.cycle) == m)
+            seen.add(m > 0)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("text, bounds", [
+    # several D nodes, which functional abstraction merges
+    ("P = a ? Q : R; Q = D; R = D", SearchBounds(2, 1, ("a",))),
+    # two copies of one sub-thread, which only minimize merges
+    ("P = a ? Q : R; Q = b . S1; R = b . S2; S1 = S; S2 = S", SearchBounds(4, 0, ("a", "b"))),
+])
+def test_search_of_delay_free_target_needs_no_functional_abstraction(text, bounds):
+    p = parse_thread(text)
+    found = search_implementations(p, bounds)
+    assert found
+    assert found == search_implementations(minimize(functional_abstraction(p)), bounds)
 
 def _allowed_actions(n, m, s, t_d, f_d, same):
     """The action instructions ``_allowed`` offers for slot ``s`` of shape
