@@ -13,26 +13,32 @@ the node's successors: replies that reach one slot need one successor, and
 a reply that runs off the end needs D.  By pigeonhole, a branch is dropped
 when the target's S and post nodes not yet paired outnumber the slots left
 to pair them with, and a shape with fewer slots than those nodes is
-skipped.  The ``max_candidates`` budget is one count across all shapes.
+skipped.  Slot options that send every run to the same slots, one delay
+per executed jump whatever its counter, are interchangeable: the walk
+branches once per class of them and emits every member.  The
+``max_candidates`` budget is one count across all shapes.
 
 ``pareto_front`` keeps the results whose mechanistic behavior no other
 result strictly improves.  It is a skyline over the improvement preorder's
-classes: one extraction per result, then one relation walk per distinct
-mechanistic graph per class still in the window of classes that nothing
-seen so far strictly improves, never more than one walk per pair of
-distinct graphs.  For ``P = a . P`` over ``{a}`` at (3,2) and (2,3) that
-is 0.12 s and 0.14 s, where a walk per pair took 6.0 s and 13.2 s.
-Distinct graphs can outnumber the distinct behaviors: ``(a)^w`` and
-``(a;a)^w`` are bisimilar but have different graphs.  Known limitation:
-two results that improve each other without being bisimilar drop each
-other, so the front can come out empty.
+classes: one extraction per result, or per finished walk for the list the
+search returned, then one relation walk per distinct mechanistic graph per
+class still in the window of classes that nothing seen so far strictly
+improves, never more than one walk per pair of distinct graphs.  For
+``P = a . P`` over ``{a}`` at (3,2) and (2,3) that is 0.02 s and 0.03 s,
+where an extraction per result took 0.11 s and 0.15 s and a walk per pair
+6.0 s and 13.2 s.  Distinct graphs can outnumber the distinct behaviors:
+``(a)^w`` and ``(a;a)^w`` are bisimilar but have different graphs.  Known
+limitation: two results that improve each other without being bisimilar
+drop each other, so the front can come out empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import product, repeat
+from math import prod
+from operator import is_
 
 from .extraction import extract_mechanistic
 from .instructions import (
@@ -106,7 +112,6 @@ def _slot_options(total: int, alphabet: tuple[str, ...]) -> tuple[Instruction, .
             *(jump(k) for k in range(total + 1)))
 
 
-@cache
 def _allowed(n: int, m: int, s: int, kind: str, action: str | None, t_d: bool, f_d: bool,
              same: bool, alphabet: tuple[str, ...]) -> tuple[int, ...]:
     """Indices into ``_slot_options(n + m, alphabet)`` for slot ``s`` of
@@ -135,10 +140,38 @@ def _allowed(n: int, m: int, s: int, kind: str, action: str | None, t_d: bool, f
     return tuple(allowed)
 
 
+@cache
+def _classes(n: int, m: int, s: int, kind: str, action: str | None, t_d: bool, f_d: bool,
+             same: bool, alphabet: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """``_allowed``'s options for the same arguments, grouped by their
+    effect at slot ``s``, each class and its members in ascending order.
+    An action instruction's effect is its action and the canonical slots
+    of its true and false replies; a jump's is whether its counter is
+    nonzero and the canonical slot it lands on; ``!`` is a class of its
+    own.  Members of a class send every run to the same slots at the same
+    cost, one delay per executed jump whatever its counter, so they give
+    the same walk and the same mechanistic graph.  ``#0`` and a jump off
+    the end both give no slot, but the first gives D and the second a
+    delay in front of it, so their classes differ."""
+    options = _slot_options(n + m, alphabet)
+    classes: dict[tuple, list[int]] = {}
+    for i in _allowed(n, m, s, kind, action, t_d, f_d, same, alphabet):
+        ins = options[i]
+        if ins.kind == JUMP:
+            effect = (JUMP, ins.counter > 0, _slot(n, m, s + ins.counter))
+        elif ins.kind == TERMINATION:
+            effect = (TERMINATION,)
+        else:
+            effect = (POST, ins.action, *(_slot(n, m, q) for q in _branches(s, ins)))
+        classes.setdefault(effect, []).append(i)
+    return tuple(map(tuple, classes.values()))
+
+
 class _ShapeSearch:
     """Demand-driven enumeration of the sequences that ``p`` improves:
     ``results(n, m)`` lists those of prefix length ``n`` and cycle length
-    ``m``.  The target's facts and the budget's count span all shapes.
+    ``m``.  The target's facts, the budget's count and the numbering of
+    finished walks span all shapes.
 
     The minimal delay-free target is walked along the partial sequence from
     position 0 and node 0, the target's root, jumps transparent, pairing
@@ -147,17 +180,22 @@ class _ShapeSearch:
     as ``#0``, running off the end or a cycle of jumps gives it.  A slot
     stands for one target node even before it is assigned, so walk items
     that wait on one unassigned slot at two nodes fail the walk at once.
-    Slots the finished walk never reached are don't-cares: no run executes
-    them.  ``check`` is the behavior each finished walk is checked to
-    improve on, or None when the walk alone decides.
+    A slot is branched on once per class of ``_classes``, as its first
+    member; the other members give the same walk.  Slots the finished walk
+    never reached are don't-cares: no run executes them.  Every sequence a
+    finished walk stands for, any member of each assigned slot's class and
+    any option in each don't-care, has one mechanistic graph.  ``check``
+    is the behavior each finished walk is checked to improve on, or None
+    when the walk alone decides.  ``walk_of`` holds the number of the
+    finished walk of each result returned so far.
 
     Invariant: ``slots`` and ``picks`` are the one record of the choices,
-    assigned and cleared together: ``slots[s]`` holds the option numbered
-    ``picks[s]``, or None and -1 where unassigned, and ``free`` counts the
-    unassigned slots.  A slot is assigned only when the walk reaches it, to
-    an option ``_allowed`` admits at the target node there, and the next
-    walk meets it first, at that node, so the walk never checks a slot's
-    fit.
+    assigned and cleared together: ``picks[s]`` is the class assigned to
+    slot ``s`` and ``slots[s]`` its first member, or both are None where
+    unassigned, and ``free`` counts the unassigned slots.  A slot is
+    assigned only when the walk reaches it, to a class ``_classes`` offers
+    at the target node there, and the next walk meets it first, at that
+    node, so the walk never checks a slot's fit.
     """
 
     def __init__(self, p: ThreadGraph, alphabet: tuple[str, ...],
@@ -172,9 +210,10 @@ class _ShapeSearch:
         self.tnodes, self.alphabet = target.nodes, alphabet
         self.kinds = [node.kind for node in target.nodes]
         self.max_candidates, self.spent = max_candidates, 0
+        self.walks, self.walk_of = 0, []
         # pigeonhole: each S or post node of the target needs a slot of its own
         self.need = sum(kind != D for kind in self.kinds)
-        # each node's arguments to ``_allowed``: kind, action, whether its
+        # each node's arguments to ``_classes``: kind, action, whether its
         # true and false successors are D and whether they are one node
         self.facts = [
             (node.kind, node.action, False, False, False) if node.kind != POST else
@@ -190,19 +229,20 @@ class _ShapeSearch:
         # n + m + 1: the root, and the replies of an action instruction in
         # any slot; where a jump lands is left to ``_chase``
         self.at = [_slot(n, m, q) for q in range(n + m + 2)]
-        # ``_allowed`` per slot and target node, filled on first use
-        self.fits: list[list[tuple[int, ...] | None]] = [
+        # ``_classes`` per slot and target node, filled on first use
+        self.fits: list[list[tuple[tuple[int, ...], ...] | None]] = [
             [None] * len(self.tnodes) for _ in range(n + m)]
         self.slots: list[Instruction | None] = [None] * (n + m)
-        self.picks = [-1] * (n + m)
+        self.picks: list[tuple[int, ...] | None] = [None] * (n + m)
         self.free = n + m
-        self.keys: list[tuple[int, ...]] = []
+        self.keys: list[tuple[tuple[int, ...], int]] = []  # (option indices, walk)
         self._walk({}, [(0, 0)])
         seq = InstrSeq._trusted
         out = []
-        for key in sorted(self.keys):
+        for key, walk in sorted(self.keys):
             ins = [options[c] for c in key]
             out.append(seq(tuple(ins[:n]), tuple(ins[n:]) if m else None))
+            self.walk_of.append(walk)
         return out
 
     def _spend(self, count: int) -> None:
@@ -262,42 +302,62 @@ class _ShapeSearch:
         unpaired = self.need - len(paired)
         jumps = unpaired <= free
         others = unpaired - (kinds[tnode] != D and tnode not in paired) <= free
-        allowed = self.fits[first][tnode]
-        if allowed is None:
-            allowed = self.fits[first][tnode] = _allowed(
+        classes = self.fits[first][tnode]
+        if classes is None:
+            classes = self.fits[first][tnode] = _classes(
                 self.n, self.m, first, *self.facts[tnode], self.alphabet)
         options, picks = self.options, self.picks
         items = [*reversed(waiting.items())]
         self.free = free
-        for i in allowed:
-            ins = options[i]
+        for members in classes:
+            ins = options[members[0]]
             if jumps if ins.kind == JUMP else others:
-                slots[first], picks[first] = ins, i
+                slots[first], picks[first] = ins, members
                 self._walk(dict(seen), items.copy())
-        slots[first], picks[first] = None, -1
+        slots[first] = picks[first] = None
         self.free = free + 1
 
     def _emit(self) -> None:
-        """Check the finished walk once and record every filling of its
-        don't-cares."""
+        """Check the finished walk once and record, as one walk, every
+        sequence it stands for: each assigned slot filled with any member
+        of its class and each don't-care with any option.  The budget
+        counts what a walk per member would: a failed check one per
+        combination of class members."""
         n, m, options, picks = self.n, self.m, self.options, self.picks
         if self.check is not None:
             probe = [ins or options[0] for ins in self.slots]
             seq = InstrSeq._trusted(tuple(probe[:n]), tuple(probe[n:]) if m else None)
             if not is_implementation(seq, self.check):
-                self._spend(1)
+                self._spend(prod(len(c) for c in picks if c is not None))
                 return
-        if not self.free:  # no don't-cares: one sequence
-            self._spend(1)
-            self.keys.append(tuple(picks))
-            return
-        free = [s for s, c in enumerate(picks) if c < 0]
-        self._spend(len(options) ** len(free))
-        key = picks.copy()
-        for filling in product(range(len(options)), repeat=len(free)):
-            for s, c in zip(free, filling):
-                key[s] = c
-            self.keys.append(tuple(key))
+        every = range(len(options))
+        choices = [every if c is None else c for c in picks]
+        self._spend(prod(map(len, choices)))
+        self.keys += zip(product(*choices), repeat(self.walks))
+        self.walks += 1
+
+
+class _Found(list):
+    """The results of ``search_implementations``, which remember the
+    finished walk each came from: the results of one walk share one
+    mechanistic graph.  ``record`` holds the results as returned and the
+    number of each one's walk; ``_walks`` trusts it only while the list
+    still holds those results in that order."""
+
+    def __init__(self, seqs: list[InstrSeq], walks: list[int]) -> None:
+        super().__init__(seqs)
+        self.record = (tuple(seqs), walks)
+
+
+def _walks(seqs: list[InstrSeq]) -> list[int] | range:
+    """A number per member of ``seqs`` that is shared only by members with
+    one mechanistic graph: the finished walk of each, as the search
+    recorded it, or else a number of its own."""
+    if isinstance(seqs, _Found):
+        members, walks = seqs.record
+        if len(members) == len(seqs) and all(map(is_, members, seqs)):
+            return walks
+    return range(len(seqs))
 
 
 def search_implementations(p: ThreadGraph, bounds: SearchBounds,
@@ -318,14 +378,19 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds,
     node's successors, and any option only while the slots still free
     after it are at least as many as the target's S and post nodes that
     the option leaves unpaired; a shape with fewer slots than those nodes
-    is skipped.  These prunes drop only branches that can never finish, so
+    is skipped.  Options whose replies or landings reach the same slots,
+    such as ``#2`` and ``#3`` off the end or ``a``, ``+a`` and ``-a`` with
+    both replies at one slot, are walked once for all of them, and each is
+    returned.  These prunes drop only branches that can never finish, so
     the results, their order and the budget's count are those of the
     unpruned walk.
 
     ``max_candidates`` bounds the sequences checked or emitted (a failed
     check counts one, a passed one every sequence it emits); the search
     raises ``SearchBudgetExceeded`` before exceeding it.  None means no
-    bound.
+    bound.  The list returned also records which results share a finished
+    walk, and so a mechanistic graph, which ``pareto_front`` uses while
+    the list is unchanged.
     """
     search = _ShapeSearch(p, tuple(sorted(set(bounds.alphabet))), max_candidates)
     found: list[InstrSeq] = []
@@ -334,16 +399,17 @@ def search_implementations(p: ThreadGraph, bounds: SearchBounds,
             n = total - m
             if n <= bounds.max_prefix:
                 found += search.results(n, m)
-    return found
+    return _Found(found, search.walk_of)
 
 
 def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     """The members whose mechanistic behavior no other member strictly
     improves, in input order with repeats kept.
 
-    Each member is extracted once, and its graph is numbered on first
-    sight; equal graphs are bisimilar, so members that share a graph share
-    its fate.  The distinct graphs then pass through a window of the
+    Each member is extracted once, or once per finished walk for a list
+    as ``search_implementations`` returned it, and its graph is numbered on
+    first sight; equal graphs are bisimilar, so members that share a graph
+    share its fate.  The distinct graphs then pass through a window of the
     preorder's classes that no graph seen so far strictly improves.  A
     class is held as its first graph's delay resolution, whether every
     member is bisimilar to that graph, and its members.  One relation walk
@@ -353,18 +419,24 @@ def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     between classes is a strict partial order, so window classes never
     compare and the result does not depend on the order of arrival.  The
     front is the members of the window classes whose members are all
-    bisimilar.  The cost is one extraction per member plus one walk per
-    distinct graph per window class it meets, never more than one walk per
-    pair of distinct graphs: for ``P = a . P`` over ``{a}``, the 1,456
-    graphs at (3,2) take 0.12 s, not 6.0 s, and the 2,269 at (2,3) 0.14 s,
-    not 13.2 s.  Bisimilar members can still have distinct graphs, such as
-    those of ``(a)^w`` and ``(a;a)^w``.  Known limitation: two members that
-    improve each other without being bisimilar drop each other, so the
-    front can come out empty.
+    bisimilar.  The cost is one extraction per member, or per walk, plus
+    one walk per distinct graph per window class it meets, never more than
+    one walk per pair of distinct graphs: for ``P = a . P`` over ``{a}``,
+    the 20,337 results at (3,2), from 2,138 walks and with 1,456 graphs,
+    take 0.02 s, not 6.0 s, and the 21,057 at (2,3), from 3,888 walks and
+    with 2,269 graphs, 0.03 s, not 13.2 s.  Bisimilar members can still
+    have distinct graphs, such as those of ``(a)^w`` and ``(a;a)^w``.
+    Known limitation: two members that improve each other without being
+    bisimilar drop each other, so the front can come out empty.
     """
-    graphs = [extract_mechanistic(s) for s in seqs]
     ids: dict[ThreadGraph, int] = {}
-    gids = [ids.setdefault(g, len(ids)) for g in graphs]
+    by_walk: dict[int, int] = {}  # finished walk: graph id
+    gids = []
+    for s, walk in zip(seqs, _walks(seqs)):
+        gid = by_walk.get(walk)
+        if gid is None:
+            gid = by_walk[walk] = ids.setdefault(extract_mechanistic(s), len(ids))
+        gids.append(gid)
     window: list[list] = []  # [resolution, pure, graph ids] per class
     for i, h in enumerate(ids):
         hr = _delay_resolution(h)

@@ -55,8 +55,8 @@ from pga_mech.instructions import (
     InstrSeq,
     instruction_at,
 )
-from pga_mech.search import _ShapeSearch, _allowed, _slot_options
-from pga_mech.threads import D, POST
+from pga_mech.search import _ShapeSearch, _allowed, _classes, _slot_options
+from pga_mech.threads import D, POST, S
 
 from helpers import chain_witnesses, random_graph, random_seq, reference_pareto_front
 
@@ -636,8 +636,8 @@ def test_search_budget_counts_across_shapes(text, results, spent):
 def test_search_walk_is_pruned(monkeypatch):
     # no sequence of (4, 4) implements this target, so every branch of the
     # walk fails; an unpruned walk makes 637,511 steps before it is done,
-    # and the prunes leave exactly 72,289, so a change that makes the
-    # search cheaper makes each step cheaper, not the steps fewer
+    # the prunes leave 72,289, and walking each class of interchangeable
+    # slot options once leaves exactly 16,026
     steps = 0
     walk = _ShapeSearch._walk
 
@@ -650,8 +650,72 @@ def test_search_walk_is_pruned(monkeypatch):
     target = parse_thread("P = a ? Q : R; Q = b ? P : T; R = c . P; T = S")
     bounds = SearchBounds(4, 4, ("a", "b", "c"))
     assert search_implementations(target, bounds, max_candidates=1000) == []
-    assert steps == 72_289
+    assert steps == 16_026
 
+
+
+# every set of node facts ``_allowed`` and ``_classes`` take over {a, b}
+_NODE_FACTS = [(S, None, False, False, False), (D, None, False, False, False)] + [
+    (POST, action, t_d, f_d, same) for action in ("a", "b")
+    for t_d in (False, True) for f_d in (False, True) for same in (False, True)]
+
+
+def test_search_option_classes_are_exact():
+    # the walk takes one member per class; every other member, put in the
+    # same slot of a random sequence, must give the same mechanistic graph
+    rng = random.Random(2424)
+    alphabet = ("a", "b")
+    for _ in range(150):
+        seq = random_seq(rng, max_prefix=3, max_cycle=3, actions=alphabet)
+        n, m = seq.prefix_len, seq.cycle_len
+        code = [*seq.prefix, *(seq.cycle or ())]
+        options = _slot_options(n + m, alphabet)
+        for s, original in enumerate(list(code)):
+            checked = set()
+            for facts in _NODE_FACTS:
+                classes = _classes(n, m, s, *facts, alphabet)
+                members = [i for c in classes for i in c]
+                assert sorted(members) == list(_allowed(n, m, s, *facts, alphabet))
+                assert all(list(c) == sorted(c) for c in classes)
+                assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+                for c in set(classes) - checked:
+                    graphs = set()
+                    for i in c:
+                        code[s] = options[i]
+                        graphs.add(extract_mechanistic(
+                            InstrSeq(tuple(code[:n]), tuple(code[n:]) if m else None)))
+                    assert len(graphs) == 1, (seq, s, [str(options[i]) for i in c])
+                checked.update(classes)
+            code[s] = original
+
+
+def test_search_option_classes_keep_deadlock_apart_from_running_off():
+    # at the last slot of a finite shape reached at D, ``#0`` deadlocks at
+    # once, while ``#1`` and ``#2`` run off the end after a delay
+    options = _slot_options(2, ("a",))
+    classes = _classes(2, 0, 1, D, None, False, False, False, ("a",))
+    assert [[str(options[i]) for i in c] for c in classes] == [["#0"], ["#1", "#2"]]
+    assert extract_mechanistic(parse_pga("a;#0")) != extract_mechanistic(parse_pga("a;#1"))
+
+
+def test_pareto_front_of_search_results_uses_their_walks():
+    # the results of one finished walk share a graph, and the front of the
+    # list the search returned is the front of the same plain list
+    rng = random.Random(2525)
+    cases = [(target, SearchBounds(4, 0, alphabet)) for alphabet in (("a", "b"), ("a", "b", "c"))
+             for target in _tight_targets(rng, 4, 0, alphabet, 3)]
+    cases += [(parse_thread(text), SearchBounds(n, m, ("a",))) for text, n, m in (
+        ("P = a . P", 3, 2), ("P = S", 5, 0), ("P = a . Q; Q = sigma(R); R = S", 3, 1))]
+    grouped = 0
+    for target, bounds in cases:
+        found = search_implementations(target, bounds)
+        assert pareto_front(found) == pareto_front(list(found))
+        grouped += len(set(found.record[1])) < len(found)
+    assert grouped >= 3
+    # a list changed after the search no longer matches its walks
+    found = search_implementations(parse_thread("P = S"), SearchBounds(3, 1, ("a",)))
+    found[0], found[-1] = found[-1], found[0]
+    assert pareto_front(found) == pareto_front(list(found)) != []
 
 
 def _tight_targets(rng, n, m, alphabet, count):
