@@ -219,8 +219,8 @@ def cmd_search(thread_path, max_prefix, max_cycle, alphabet, pareto, max_candida
         _fail(2, f"{exc}; raise --max-candidates or tighten the bounds")
     if pareto:
         results = pareto_front(results)
-    for seq in results:
-        click.echo(print_pga(seq))
+    if results:
+        click.echo("\n".join(map(print_pga, results)))
 
 
 if __name__ == "__main__":

@@ -20,16 +20,18 @@ branches once per class of them and emits every member.  The
 
 ``pareto_front`` keeps the results whose mechanistic behavior no other
 result strictly improves.  It is a skyline over the improvement preorder's
-classes: one extraction per result, or per finished walk for the list the
-search returned, then one relation walk per distinct mechanistic graph per
-class still in the window of classes that nothing seen so far strictly
-improves, never more than one walk per pair of distinct graphs.  For
-``P = a . P`` over ``{a}`` at (3,2) and (2,3) that is 0.02 s and 0.03 s,
-where an extraction per result took 0.11 s and 0.15 s and a walk per pair
-6.0 s and 13.2 s.  Distinct graphs can outnumber the distinct behaviors:
-``(a)^w`` and ``(a;a)^w`` are bisimilar but have different graphs.  Known
-limitation: two results that improve each other without being bisimilar
-drop each other, so the front can come out empty.
+classes.  A list from one finished walk, or of one member, is its own front
+and needs no extraction.  Otherwise there is one extraction per result, or
+per finished walk for the list the search returned, then one relation walk
+per distinct mechanistic graph per class still in the window of classes
+that nothing seen so far strictly improves, never more than one walk per
+pair of distinct graphs.  For ``P = a . P`` over ``{a}`` at (3,2) and (2,3)
+that is 0.02 s and 0.03 s, where an extraction per result took 0.11 s and
+0.15 s and a walk per pair 6.0 s and 13.2 s.  Distinct graphs can
+outnumber the distinct behaviors: ``(a)^w`` and ``(a;a)^w`` are bisimilar
+but have different graphs.  Known limitation: two results that improve
+each other without being bisimilar drop each other, so the front can come
+out empty.
 """
 
 from __future__ import annotations
@@ -406,8 +408,12 @@ def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     """The members whose mechanistic behavior no other member strictly
     improves, in input order with repeats kept.
 
-    Each member is extracted once, or once per finished walk for a list
-    as ``search_implementations`` returned it, and its graph is numbered on
+    Members of one finished walk share one mechanistic graph, so a list
+    whose members all come from one walk, as ``search_implementations``
+    recorded it, or that has one member, is its own front and is returned
+    as it stands, with nothing extracted.  Otherwise each member is
+    extracted once, or once per finished walk for a list as
+    ``search_implementations`` returned it, and its graph is numbered on
     first sight; equal graphs are bisimilar, so members that share a graph
     share its fate.  The distinct graphs then pass through a window of the
     preorder's classes that no graph seen so far strictly improves.  A
@@ -429,10 +435,13 @@ def pareto_front(seqs: list[InstrSeq]) -> list[InstrSeq]:
     Known limitation: two members that improve each other without being
     bisimilar drop each other, so the front can come out empty.
     """
+    walks = _walks(seqs)
+    if len(set(walks)) < 2:
+        return list(seqs)  # one walk, one graph: nothing to compare
     ids: dict[ThreadGraph, int] = {}
     by_walk: dict[int, int] = {}  # finished walk: graph id
     gids = []
-    for s, walk in zip(seqs, _walks(seqs)):
+    for s, walk in zip(seqs, walks):
         gid = by_walk.get(walk)
         if gid is None:
             gid = by_walk[walk] = ids.setdefault(extract_mechanistic(s), len(ids))

@@ -389,63 +389,89 @@ class ThreadSyntaxError(ValueError):
 
 
 _EQ_NAME = r"([A-Za-z][A-Za-z0-9_]*)"  # an equation name, captured
+# groups: the name, S or D, the sigma target, the action, the true and
+# false targets of a branch, and the target of an action prefix
+_EQUATION_RE = re.compile(rf"\s*{_EQ_NAME}\s*=\s*(?:([SD])|sigma\s*\(\s*{_EQ_NAME}\s*\)|"
+                          rf"({_NAME})\s*(?:\?\s*{_EQ_NAME}\s*:\s*{_EQ_NAME}|\.\s*{_EQ_NAME}))\s*\Z")
+# a name and any right-hand side: words the error for a segment that
+# ``_EQUATION_RE`` rejects
 _EQ_RE = re.compile(rf"\s*{_EQ_NAME}\s*=\s*(.*?)\s*\Z")
-# groups: S or D, the sigma target, the action, the true and false targets
-# of a branch, and the target of an action prefix
-_RHS_RE = re.compile(rf"(?:([SD])|sigma\s*\(\s*{_EQ_NAME}\s*\)|({_NAME})\s*"
-                     rf"(?:\?\s*{_EQ_NAME}\s*:\s*{_EQ_NAME}|\.\s*{_EQ_NAME}))\Z")
 
 
 def parse_thread(text: str) -> ThreadGraph:
     """Parse thread equations, one per line (``;`` also separates equations,
     ``#`` starts a comment that runs to the end of the line, ``;`` included).
     The first equation's left-hand side is the root.  Forms: ``S``, ``D``,
-    ``sigma(N)``, ``a ? N1 : N2`` and the action-prefix sugar ``a . N``."""
-    equations: list[tuple[tuple, int]] = []  # right-hand side groups, line
+    ``sigma(N)``, ``a ? N1 : N2`` and the action-prefix sugar ``a . N``.
+
+    Each equation is matched once, by one pattern for its name and every
+    form, and its node is built at once: names are numbered on first
+    sight, as a definition or a reference, so a reference may come before
+    its definition.  The first malformed equation raises at its line; if
+    none is, the first reference to a reserved or undefined name raises at
+    the line of the equation that makes it."""
+    # every name gets the next number on first sight, as a definition or a
+    # reference; per number, ``nodes`` holds the name's node once it is
+    # defined, until then the line of the first equation referring to it
     index: dict[str, int] = {}
+    nodes: list = []
     for lineno, raw_line in enumerate(text.split("\n"), 1):
         for segment in raw_line.partition("#")[0].split(";"):
-            if not segment.strip():
+            m = _EQUATION_RE.match(segment)
+            if m is None:
+                if segment.strip():
+                    raise _rejected(segment, lineno, index, nodes)
                 continue
-            m = _EQ_RE.match(segment)
-            if not m:
-                raise ThreadSyntaxError(f"expected 'NAME = ...', got {segment.strip()!r}", lineno)
-            name, rhs = m.groups()
+            name, terminal, delay, action, true, false, prefix = m.groups()
             if name in _RESERVED_NAMES:
-                raise ThreadSyntaxError(f"{name!r} is reserved", lineno)
-            if name in index:
-                raise ThreadSyntaxError(f"duplicate definition of {name!r}", lineno)
-            form = _RHS_RE.match(rhs)
-            if not form:
-                raise ThreadSyntaxError(f"cannot parse right-hand side {rhs!r}", lineno)
-            index[name] = len(equations)
-            equations.append((form.groups(), lineno))
-    if not equations:
+                raise _rejected(segment, lineno, index, nodes)
+            i = index.setdefault(name, len(nodes))
+            if i == len(nodes):
+                nodes.append(None)
+            elif type(nodes[i]) is not int:  # defined before
+                raise _rejected(segment, lineno, index, nodes)
+            if terminal:
+                nodes[i] = _S_NODE if terminal == S else _D_NODE
+                continue
+            # the pattern has checked the action name and every target is
+            # numbered here, so the node is built unchecked
+            t = index.setdefault(true or delay or prefix, len(nodes))
+            if t == len(nodes):
+                nodes.append(lineno)
+            if delay:
+                nodes[i] = _new(Node, (DELAY, None, t, None, None))
+                continue
+            f = t if prefix else index.setdefault(false, len(nodes))
+            if f == len(nodes):
+                nodes.append(lineno)
+            nodes[i] = _new(Node, (POST, action, None, t, f))
+    if not nodes:
         raise ThreadSyntaxError("no equations")
-
-    def ref(name: str, lineno: int) -> int:
+    if int in map(type, nodes):
+        # the first name referred to and never defined, first referred to
+        # before any other such name
+        name, i = next((name, i) for name, i in index.items() if type(nodes[i]) is int)
         if name in _RESERVED_NAMES:
             form = "sigma(N)" if name == "sigma" else name
             raise ThreadSyntaxError(f"{name!r} is reserved and cannot be referred to; "
-                                    f"write 'X = {form}' and refer to X", lineno)
-        if name not in index:
-            raise ThreadSyntaxError(f"undefined name {name!r}", lineno)
-        return index[name]
-
-    # the pattern has checked every action name and ``ref`` every target,
-    # so nodes are built and numbered unchecked
-    nodes = []
-    for (terminal, delay, action, true, false, prefix), lineno in equations:
-        if terminal:
-            nodes.append(_S_NODE if terminal == S else _D_NODE)
-        elif delay:
-            nodes.append(_new(Node, (DELAY, None, ref(delay, lineno), None, None)))
-        elif prefix:
-            target = ref(prefix, lineno)
-            nodes.append(_new(Node, (POST, action, None, target, target)))
-        else:
-            nodes.append(_new(Node, (POST, action, None, ref(true, lineno), ref(false, lineno))))
+                                    f"write 'X = {form}' and refer to X", nodes[i])
+        raise ThreadSyntaxError(f"undefined name {name!r}", nodes[i])
     return ThreadGraph._renumbered(nodes, 0)
+
+
+def _rejected(segment: str, lineno: int, index: dict[str, int], nodes: list) -> ThreadSyntaxError:
+    """The error for a nonblank ``segment`` that ``parse_thread`` rejects:
+    one ``_EQUATION_RE`` does not match, or one that defines a reserved
+    name or a name defined before, given ``parse_thread``'s state."""
+    m = _EQ_RE.match(segment)
+    if not m:
+        return ThreadSyntaxError(f"expected 'NAME = ...', got {segment.strip()!r}", lineno)
+    name, rhs = m.groups()
+    if name in _RESERVED_NAMES:
+        return ThreadSyntaxError(f"{name!r} is reserved", lineno)
+    if name in index and type(nodes[index[name]]) is not int:
+        return ThreadSyntaxError(f"duplicate definition of {name!r}", lineno)
+    return ThreadSyntaxError(f"cannot parse right-hand side {rhs!r}", lineno)
 
 
 def print_thread(g: ThreadGraph) -> str:

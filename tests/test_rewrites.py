@@ -46,7 +46,7 @@ from pga_mech import (
     unchain,
     unroll,
 )
-from pga_mech import rewrites
+from pga_mech import rewrites, search
 from pga_mech.instructions import (
     JUMP,
     NEG_TEST,
@@ -698,20 +698,33 @@ def test_search_option_classes_keep_deadlock_apart_from_running_off():
     assert extract_mechanistic(parse_pga("a;#0")) != extract_mechanistic(parse_pga("a;#1"))
 
 
-def test_pareto_front_of_search_results_uses_their_walks():
-    # the results of one finished walk share a graph, and the front of the
-    # list the search returned is the front of the same plain list
+def test_pareto_front_of_search_results_uses_their_walks(monkeypatch):
+    # the results of one finished walk share a graph, so the front extracts
+    # one member per walk, and none when there is one walk; the front of
+    # the list the search returned is the front of the same plain list
+    extracted = []
+    extract = search.extract_mechanistic
+    monkeypatch.setattr(search, "extract_mechanistic",
+                        lambda seq: extracted.append(seq) or extract(seq))
     rng = random.Random(2525)
     cases = [(target, SearchBounds(4, 0, alphabet)) for alphabet in (("a", "b"), ("a", "b", "c"))
              for target in _tight_targets(rng, 4, 0, alphabet, 3)]
     cases += [(parse_thread(text), SearchBounds(n, m, ("a",))) for text, n, m in (
         ("P = a . P", 3, 2), ("P = S", 5, 0), ("P = a . Q; Q = sigma(R); R = S", 3, 1))]
-    grouped = 0
+    single = grouped = 0
     for target, bounds in cases:
         found = search_implementations(target, bounds)
-        assert pareto_front(found) == pareto_front(list(found))
-        grouped += len(set(found.record[1])) < len(found)
-    assert grouped >= 3
+        walks = len(set(found.record[1]))
+        extracted.clear()
+        front = pareto_front(found)
+        assert len(extracted) == (walks if walks > 1 else 0)
+        assert front == pareto_front(list(found))
+        single += walks == 1
+        grouped += walks < len(found)
+    assert single >= 1 and grouped >= 3
+    # a one-member plain list is its own front
+    extracted.clear()
+    assert pareto_front(found[:1]) == found[:1] and extracted == []
     # a list changed after the search no longer matches its walks
     found = search_implementations(parse_thread("P = S"), SearchBounds(3, 1, ("a",)))
     found[0], found[-1] = found[-1], found[0]

@@ -21,9 +21,10 @@ delay on the root edge decides "no" but the cores pair up a million
 ways.  And for ``improve_step`` from the 259-instruction member of the
 ``(+a;#4;+b;#4;!)^w`` chain, whose 128 candidates each cost a full product
 walk when none stops early.  And for the per-node layers of ``extract``
-on a dense sequence of 10⁴ instructions: both extractions, ``minimize``
-and the three renderers, each linear or near it, so a budget of a second
-catches a quadratic pass, not noise."""
+on a dense sequence of 10⁴ instructions: both extractions, ``minimize``,
+the three renderers and ``parse_thread`` of the printed equations, each
+linear or near it, so a budget of a second catches a quadratic pass, not
+noise."""
 
 import random
 import time
@@ -186,3 +187,4 @@ def test_dense_pipeline_at_10000():
     assert len(_timed(minimize, g)) > 8_000
     for render in (print_thread, to_dot, to_json):
         assert len(_timed(render, g)) > len(g)
+    assert _timed(parse_thread, print_thread(g)) == g
