@@ -35,10 +35,10 @@ from .search import (
     search_implementations,
 )
 from .threads import (
-    DELAY,
     POST,
     ThreadGraph,
     ThreadSyntaxError,
+    _has_delay,
     functional_abstraction,
     minimize as minimize_graph,
     parse_thread,
@@ -183,7 +183,7 @@ def cmd_rewrite(operation, pga_text, steps, trace) -> None:
 def cmd_codegen(thread_path, apply_fa) -> None:
     """Emit a sequence whose functional behavior is the given thread."""
     graph = parse_thread(_read(thread_path))
-    if any(node.kind == DELAY for node in graph.nodes):
+    if _has_delay(graph):
         if not apply_fa:
             _fail(2, "thread contains delays; apply functional abstraction first (--fa)")
         graph = functional_abstraction(graph)
@@ -210,7 +210,7 @@ def cmd_search(thread_path, max_prefix, max_cycle, alphabet, pareto, max_candida
         bounds = SearchBounds(max_prefix, max_cycle, names)
     except ValueError as exc:
         _fail(2, str(exc))
-    missing = sorted({node.action for node in graph.nodes if node.kind == POST} - set(names))
+    missing = sorted({row[1] for row in graph._rows if row[0] == POST} - set(names))
     if missing:
         _fail(2, f"the thread uses action {missing[0]!r}, which is not in --alphabet")
     try:

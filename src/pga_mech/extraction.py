@@ -13,7 +13,7 @@ deadlock functionally and a delay loop mechanistically.
 from __future__ import annotations
 
 from .instructions import BASIC, JUMP, NEG_TEST, POS_TEST, TERMINATION, InstrSeq, _chase
-from .threads import _D_NODE, _S_NODE, DELAY, POST, Node, ThreadGraph, _new
+from .threads import _D_ROW, _S_ROW, DELAY, POST, ThreadGraph
 
 __all__ = ["extract_functional", "extract_mechanistic"]
 
@@ -38,7 +38,7 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
     # lands) before the id lookup in ``ids``; a key met for the first time
     # takes the next id and joins ``order``.  ``order`` is worked off first
     # in, first out, so ids are the graph constructor's breadth-first
-    # numbering and the graph is built once, never renumbered.  The loop
+    # numbering and the graph's rows are built once, never renumbered.  The loop
     # calls no closure: a closure that refers to itself holds its own cell,
     # and that reference cycle would keep the tables alive after the call
     # until the cyclic collector ran.
@@ -49,15 +49,15 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
         root = _land(code, n, m, 0, landing)
     order = [root]  # the key of each node, in id order
     ids = {root: 0}
-    nodes: list[Node] = []
+    rows: list[tuple] = []
     for p in order:  # also visits the keys appended meanwhile
         if p < 0:
-            nodes.append(_D_NODE)
+            rows.append(_D_ROW)
             continue
         ins = code[p]
         kind = ins.kind
         if kind == TERMINATION:
-            nodes.append(_S_NODE)
+            rows.append(_S_ROW)
             continue
         # the successor for a true reply (or the jump's target) comes first
         if kind == JUMP:
@@ -77,10 +77,10 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
             t = ids[q] = len(order)
             order.append(q)
         if kind == JUMP:  # a delay for the jump
-            nodes.append(_new(Node, (DELAY, None, t, None, None)))
+            rows.append((DELAY, None, t, None, None))
             continue
         if kind == BASIC:  # either reply continues at the next position
-            nodes.append(_new(Node, (POST, ins.action, None, t, t)))
+            rows.append((POST, ins.action, None, t, t))
             continue
         q = p + 2 if kind == POS_TEST else p + 1
         if q >= n:
@@ -93,8 +93,8 @@ def _extract(seq: InstrSeq, with_delays: bool) -> ThreadGraph:
         if f is None:
             f = ids[q] = len(order)
             order.append(q)
-        nodes.append(_new(Node, (POST, ins.action, None, t, f)))
-    return ThreadGraph._canonical(nodes)
+        rows.append((POST, ins.action, None, t, f))
+    return ThreadGraph._canonical(rows)
 
 
 def _land(code, n: int, m: int, p: int, landing: dict[int, int]) -> int:

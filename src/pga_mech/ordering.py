@@ -74,9 +74,9 @@ def _walk_resolutions(pr, qr, stop: int = _FUNCTIONAL) -> list[bool]:
     The walk returns at the first edge that makes the flag ``stop`` False,
     leaving the other flags undecided.  A functional difference ends every
     walk with all four False, so the default ``stop`` decides them all."""
-    pnodes, pres = pr
-    qnodes, qres = qr
-    d_id = len(pnodes) - 1
+    prows, pres = pr
+    qrows, qres = qr
+    d_id = len(prows) - 1
     flags = [True, True, True, True]
     seen = set()
     stack = [(0, 0)]  # edges, as the pairs of nodes they enter
@@ -93,12 +93,13 @@ def _walk_resolutions(pr, qr, stop: int = _FUNCTIONAL) -> list[bool]:
         if (a, b) in seen:
             continue
         seen.add((a, b))
-        na, nb = pnodes[a], qnodes[b]
-        if na.kind != nb.kind or na.action != nb.action:
+        kind, action, _, pt, pf = prows[a]
+        qkind, qaction, _, qt, qf = qrows[b]
+        if kind != qkind or action != qaction:
             return [False, False, False, False]
-        if na.kind == POST:
-            stack.append((na.true, nb.true))
-            stack.append((na.false, nb.false))
+        if kind == POST:
+            stack.append((pt, qt))
+            stack.append((pf, qf))
     return flags
 
 

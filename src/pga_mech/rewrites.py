@@ -38,10 +38,11 @@ from .ordering import (_FORWARD, _IMPROVING, ComparisonVerdict, _walk_resolution
                        is_implementation)
 from .threads import (
     D,
-    DELAY,
+    POST,
     S,
     ThreadGraph,
     _delay_resolution,
+    _has_delay,
 )
 
 __all__ = [
@@ -371,17 +372,19 @@ def improve_step(seq: InstrSeq) -> tuple[InstrSeq, RewriteStep] | None:
 # --- code generation ---------------------------------------------------------
 
 def _layout(g: ThreadGraph) -> list[int] | None:
-    """Nodes in reverse postorder of a depth-first search from the root,
-    or None when the search meets a cycle."""
+    """Nodes of the delay-free ``g`` in reverse postorder of a depth-first
+    search from the root, or None when the search meets a cycle."""
     # successors walked last-to-first so the reversed postorder lays the
     # true branch out before the false branch
+    rows = g._rows
     order: list[int] = []
-    state = [0] * len(g.nodes)  # 0 unseen, 1 on the stack, 2 done
+    state = [0] * len(rows)  # 0 unseen, 1 on the stack, 2 done
     stack: list[tuple[int, int]] = [(g.root, 0)]
     state[g.root] = 1
     while stack:
         node, edge = stack[-1]
-        succs = g.nodes[node].successors()[::-1]
+        kind, _, _, t, f = rows[node]
+        succs = (f, t) if kind == POST else ()
         if edge == len(succs):
             state[node] = 2
             order.append(node)
@@ -404,30 +407,30 @@ def codegen(p: ThreadGraph) -> InstrSeq:
     wrapping through the repetition when the graph is cyclic.  The output
     is verified: unless it implements ``p`` (``is_implementation``),
     ``RewriteVerificationError`` is raised."""
-    if any(node.kind == DELAY for node in p.nodes):
+    if _has_delay(p):
         raise RewriteError("thread contains delays")
     order = _layout(p)
     cyclic = order is None
     if cyclic:
-        order = list(range(len(p.nodes)))
+        order = list(range(len(p)))
     block = {node: i for i, node in enumerate(order)}
     total = 3 * len(order)
     out: list[Instruction] = []
     for node_id in order:
-        node = p.nodes[node_id]
+        kind, action, _, t, f = p._rows[node_id]
         base = 3 * block[node_id]
-        if node.kind == S:
+        if kind == S:
             out.extend((TERMINATE, TERMINATE, TERMINATE))
-        elif node.kind == D:
+        elif kind == D:
             out.extend((jump(0), jump(0), jump(0)))
         else:
-            jt = 3 * block[node.true] - (base + 1)
-            jf = 3 * block[node.false] - (base + 2)
+            jt = 3 * block[t] - (base + 1)
+            jf = 3 * block[f] - (base + 2)
             if jt <= 0:
                 jt += total
             if jf <= 0:
                 jf += total
-            out.extend((pos_test(node.action), jump(jt), jump(jf)))
+            out.extend((pos_test(action), jump(jt), jump(jf)))
     seq = InstrSeq((), tuple(out)) if cyclic else InstrSeq(tuple(out))
     if not is_implementation(seq, p):
         raise RewriteVerificationError("generated sequence failed its self-check")

@@ -61,11 +61,11 @@ from .instructions import (
 from .ordering import _walk_resolutions, is_implementation
 from .threads import (
     D,
-    DELAY,
     POST,
     S,
     ThreadGraph,
     _delay_resolution,
+    _has_delay,
     functional_abstraction,
     minimize,
 )
@@ -202,15 +202,15 @@ class _ShapeSearch:
 
     def __init__(self, p: ThreadGraph, alphabet: tuple[str, ...],
                  max_candidates: int | None) -> None:
-        delayed = any(node.kind == DELAY for node in p.nodes)
+        delayed = _has_delay(p)
         # a delay-free p spends no delay anywhere, so improving on it is
         # functional equivalence, which every finished walk has established
         self.check = p if delayed else None
         # on a delay-free p, functional abstraction only merges D nodes,
         # which minimize merges as well
         target = minimize(functional_abstraction(p) if delayed else p)
-        self.tnodes, self.alphabet = target.nodes, alphabet
-        self.kinds = [node.kind for node in target.nodes]
+        self.trows, self.alphabet = target._rows, alphabet
+        self.kinds = [row[0] for row in self.trows]
         self.max_candidates, self.spent = max_candidates, 0
         self.walks, self.walk_of = 0, []
         # pigeonhole: each S or post node of the target needs a slot of its own
@@ -218,10 +218,9 @@ class _ShapeSearch:
         # each node's arguments to ``_classes``: kind, action, whether its
         # true and false successors are D and whether they are one node
         self.facts = [
-            (node.kind, node.action, False, False, False) if node.kind != POST else
-            (POST, node.action, self.kinds[node.true] == D,
-             self.kinds[node.false] == D, node.true == node.false)
-            for node in target.nodes]
+            (kind, action, False, False, False) if kind != POST else
+            (POST, action, self.kinds[t] == D, self.kinds[f] == D, t == f)
+            for kind, action, _, t, f in self.trows]
 
     def results(self, n: int, m: int) -> list[InstrSeq]:
         """Every matching sequence of the shape, by option indices."""
@@ -233,7 +232,7 @@ class _ShapeSearch:
         self.at = [_slot(n, m, q) for q in range(n + m + 2)]
         # ``_classes`` per slot and target node, filled on first use
         self.fits: list[list[tuple[tuple[int, ...], ...] | None]] = [
-            [None] * len(self.tnodes) for _ in range(n + m)]
+            [None] * len(self.trows) for _ in range(n + m)]
         self.slots: list[Instruction | None] = [None] * (n + m)
         self.picks: list[tuple[int, ...] | None] = [None] * (n + m)
         self.free = n + m
@@ -289,10 +288,10 @@ class _ShapeSearch:
                 continue
             seen[s] = tnode
             if ins.kind != TERMINATION:
-                node = self.tnodes[tnode]
+                _, _, _, node_t, node_f = self.trows[tnode]
                 t, f = _branches(s, ins)
-                stack.append((t, node.true))
-                stack.append((f, node.false))
+                stack.append((t, node_t))
+                stack.append((f, node_f))
         if not waiting:
             self._emit()
             return

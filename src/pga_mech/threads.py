@@ -8,11 +8,18 @@ and branch on the Boolean reply.  A ``Node`` is a tuple of its five fields
 (and compares equal to that plain tuple); its constructor validates the
 kind, the action name and the successor fields.  Graphs are immutable; the
 constructor garbage-collects unreachable nodes and renumbers breadth-first
-from the root, so structurally equal graphs compare equal.  Library code
-whose nodes are known to be valid and in range skips the checks:
+from the root, so structurally equal graphs compare equal.
+
+A graph holds its nodes as rows: plain 5-tuples in ``Node`` field order
+``(kind, action, next, true, false)``.  Every builder and reader in the
+library works on the rows and builds no ``Node``; the public ``nodes``
+view builds the ``Node``s on its first read and then replaces the rows.
+A ``Node`` hashes and compares like its plain tuple, so a graph's length,
+equality and hash are the same before and after that read.  Library code
+whose rows are known to be valid and in range skips the checks:
 ``ThreadGraph._renumbered`` is the constructor's one-pass breadth-first
 renumbering alone, which also builds ``minimize``'s quotient, and
-``ThreadGraph._canonical`` takes nodes already numbered that way, as
+``ThreadGraph._canonical`` takes rows already numbered that way, as
 extraction builds them.  ``minimize`` refines only the cores of the delay
 resolution (S, post and one shared D node): a delay node's class is the
 key (its delay count, its core's block), so it costs two linear passes
@@ -62,6 +69,11 @@ def _is_id(s) -> bool:
     return isinstance(s, int) and s >= 0
 
 
+def _check_action(action) -> None:
+    if not isinstance(action, str) or not _ACTION_RE.match(action):
+        raise ValueError(f"invalid action name {action!r}")
+
+
 class Node(namedtuple("Node", "kind action next true false", defaults=(None,) * 4)):
     """One graph node.  ``next`` is the delay successor; ``true``/``false``
     are the branch successors of a post node."""
@@ -71,8 +83,7 @@ class Node(namedtuple("Node", "kind action next true false", defaults=(None,) * 
     def __new__(cls, kind: str, action: str | None = None, next: int | None = None,
                 true: int | None = None, false: int | None = None):
         if kind == POST:
-            if not isinstance(action, str) or not _ACTION_RE.match(action):
-                raise ValueError(f"invalid action name {action!r}")
+            _check_action(action)
             if next is not None or not (_is_id(true) and _is_id(false)):
                 raise ValueError("a post node has a true and a false successor, no next")
         elif kind == DELAY:
@@ -93,48 +104,70 @@ class Node(namedtuple("Node", "kind action next true false", defaults=(None,) * 
         return ()
 
 
-# library internals build nodes unchecked: ``_new(Node, (kind, action,
-# next, true, false))``
+# ``_new(Node, row)`` builds a ``Node`` from a row unchecked
 _new = tuple.__new__
 _S_NODE = Node(S)
 _D_NODE = Node(D)
+# the rows of S and D, shared by every graph
+_S_ROW = (S, None, None, None, None)
+_D_ROW = (D, None, None, None, None)
 
 
 class ThreadGraph:
-    """Finite rooted behavior graph, normalized at construction."""
+    """Finite rooted behavior graph, normalized at construction.
 
-    __slots__ = ("nodes",)
+    The graph holds its nodes as rows, plain tuples in ``Node`` field order
+    ``(kind, action, next, true, false)``, numbered breadth-first from the
+    root.  ``nodes`` is the read-only view of the same nodes as ``Node``s.
+    It is built on its first read and then kept in place of the rows, so
+    the graph never holds both.  ``len``, ``==`` and ``hash`` read the
+    rows, and a ``Node`` hashes and compares like its plain tuple, so they
+    give the same answers before and after the view is built."""
+
+    __slots__ = ("_rows", "_nodes")  # ``_nodes`` is unset until the view is read
     root = 0  # the nodes are numbered breadth-first from the root
 
     def __init__(self, nodes, root: int):
         nodes = list(nodes)
+        for i, node in enumerate(nodes):
+            if not isinstance(node, Node):
+                raise TypeError(f"node {i} is not a Node: {node!r}")
         if not 0 <= root < len(nodes):
             raise ValueError("root is not a node")
         for node in nodes:
             for s in node.successors():
                 if s is None or not 0 <= s < len(nodes):
                     raise ValueError("edge target is not a node")
-        self.nodes: tuple[Node, ...] = ThreadGraph._renumbered(nodes, root).nodes
+        self._rows = ThreadGraph._renumbered(nodes, root)._rows
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """The nodes as ``Node``s, in id order; the view replaces the rows."""
+        try:
+            return self._nodes
+        except AttributeError:
+            view = self._nodes = self._rows = tuple([_new(Node, row) for row in self._rows])
+            return view
 
     @classmethod
-    def _renumbered(cls, nodes, root: int, via=None) -> ThreadGraph:
-        """The graph of the nodes reachable from ``root``, numbered
+    def _renumbered(cls, rows, root: int, via=None) -> ThreadGraph:
+        """The graph of the rows reachable from ``root``, numbered
         breadth-first in one pass, as the constructor numbers it, with
         nothing checked: every edge must be in range.  With ``via``, a node
         id per node id, an edge into ``i`` (the root included) goes to
-        ``via[i]`` instead."""
+        ``via[i]`` instead.  The rows may be ``Node``s; the graph's rows
+        are plain tuples."""
         if via is None:
-            via = range(len(nodes))
+            via = range(len(rows))
         root = via[root]
         order = [root]  # the old id of each new node
-        index = [-1] * len(nodes)  # the new id of each old node met so far
+        index = [-1] * len(rows)  # the new id of each old node met so far
         index[root] = 0
         out = []
         for old in order:  # the loop also visits the ids appended here
-            node = nodes[old]
-            kind = node.kind
+            kind, action, nxt, t, f = rows[old]
             if kind == POST:
-                t, f = via[node.true], via[node.false]
+                t, f = via[t], via[f]
                 new_t = index[t]
                 if new_t < 0:
                     new_t = index[t] = len(order)
@@ -143,38 +176,39 @@ class ThreadGraph:
                 if new_f < 0:
                     new_f = index[f] = len(order)
                     order.append(f)
-                out.append(_new(Node, (POST, node.action, None, new_t, new_f)))
+                out.append((POST, action, None, new_t, new_f))
             elif kind == DELAY:
-                t = via[node.next]
+                t = via[nxt]
                 new_t = index[t]
                 if new_t < 0:
                     new_t = index[t] = len(order)
                     order.append(t)
-                out.append(_new(Node, (DELAY, None, new_t, None, None)))
+                out.append((DELAY, None, new_t, None, None))
             else:
-                out.append(node)
+                out.append(_S_ROW if kind == S else _D_ROW)
         return cls._canonical(out)
 
     @classmethod
-    def _canonical(cls, nodes) -> ThreadGraph:
-        """The graph of ``nodes`` as they stand: they must already be
+    def _canonical(cls, rows) -> ThreadGraph:
+        """The graph of ``rows`` as they stand: they must already be
         numbered breadth-first from root 0, as the constructor would number
-        them, with every edge in range.  Nothing is checked or renumbered."""
+        them, with every edge in range.  Nothing is checked or renumbered,
+        and no ``Node`` is built."""
         g = object.__new__(cls)
-        g.nodes = tuple(nodes)
+        g._rows = tuple(rows)
         return g
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ThreadGraph) and self.nodes == other.nodes
+        return isinstance(other, ThreadGraph) and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash(self.nodes)
+        return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"ThreadGraph({len(self.nodes)} nodes)"
+        return f"ThreadGraph({len(self._rows)} nodes)"
 
     def __str__(self) -> str:
         return print_thread(self)
@@ -183,22 +217,23 @@ class ThreadGraph:
 # --- small constructors ----------------------------------------------------
 
 def make_s() -> ThreadGraph:
-    return ThreadGraph._canonical([_S_NODE])
+    return ThreadGraph._canonical([_S_ROW])
 
 
 def make_d() -> ThreadGraph:
-    return ThreadGraph._canonical([_D_NODE])
+    return ThreadGraph._canonical([_D_ROW])
 
 
-def _shifted(g: ThreadGraph, shift: int) -> list[Node]:
-    """The nodes of ``g`` with every id moved up by ``shift``."""
+def _shifted(g: ThreadGraph, shift: int) -> list[tuple]:
+    """The rows of ``g`` with every id moved up by ``shift``."""
     out = []
-    for node in g.nodes:
-        if node.kind == POST:
-            node = _new(Node, (POST, node.action, None, node.true + shift, node.false + shift))
-        elif node.kind == DELAY:
-            node = _new(Node, (DELAY, None, node.next + shift, None, None))
-        out.append(node)
+    for kind, action, nxt, t, f in g._rows:
+        if kind == POST:
+            out.append((POST, action, None, t + shift, f + shift))
+        elif kind == DELAY:
+            out.append((DELAY, None, nxt + shift, None, None))
+        else:
+            out.append(_S_ROW if kind == S else _D_ROW)
     return out
 
 
@@ -207,27 +242,28 @@ def make_delay(inner: ThreadGraph, count: int = 1) -> ThreadGraph:
     if count < 0:
         raise ValueError("delay count must be nonnegative")
     # a chain in front of a breadth-first graph keeps it breadth-first
-    nodes = [_new(Node, (DELAY, None, i + 1, None, None)) for i in range(count)]
-    return ThreadGraph._canonical(nodes + _shifted(inner, count))
+    rows = [(DELAY, None, i + 1, None, None) for i in range(count)]
+    return ThreadGraph._canonical(rows + _shifted(inner, count))
 
 
 def make_post(action: str, on_true: ThreadGraph, on_false: ThreadGraph) -> ThreadGraph:
     """Branch on ``action``: continue as ``on_true``/``on_false``."""
-    f_shift = 1 + len(on_true.nodes)
-    root = Node(POST, action=action, true=on_true.root + 1, false=on_false.root + f_shift)
+    _check_action(action)
+    f_shift = 1 + len(on_true)
+    root = (POST, action, None, on_true.root + 1, on_false.root + f_shift)
     return ThreadGraph._renumbered([root] + _shifted(on_true, 1) + _shifted(on_false, f_shift), 0)
 
 
 def make_prefix(action: str, inner: ThreadGraph) -> ThreadGraph:
     """Action prefixing: perform ``action``, then continue as ``inner``
     regardless of the reply (both branches share one node)."""
-    root = Node(POST, action=action, true=1, false=1)
-    return ThreadGraph._canonical([root] + _shifted(inner, 1))
+    _check_action(action)
+    return ThreadGraph._canonical([(POST, action, None, 1, 1)] + _shifted(inner, 1))
 
 
 # --- minimization ----------------------------------------------------------
 
-def _core_blocks(nodes: tuple[Node, ...], resolution: list[tuple[int, int]]) -> list[int]:
+def _core_blocks(rows: tuple[tuple, ...], resolution: list[tuple[int, int]]) -> list[int]:
     """Block id per core of the delay resolution (S, post and the shared D
     node; -1 elsewhere) in the coarsest bisimulation, by Hopcroft's
     refinement over the letters true/false into the edges' cores.  A post
@@ -239,14 +275,14 @@ def _core_blocks(nodes: tuple[Node, ...], resolution: list[tuple[int, int]]) -> 
     keeps its id for the larger part, and the smaller part takes a new id
     and is queued: Hopcroft's rule, whether or not the old block is queued.
     """
-    true_inverse, false_inverse = [[] for _ in nodes], [[] for _ in nodes]
+    true_inverse, false_inverse = [[] for _ in rows], [[] for _ in rows]
     labels: dict = {}
-    block = [-1] * len(nodes)
+    block = [-1] * len(rows)
     members: list[set[int]] = []
-    for i, (node, (_, core)) in enumerate(zip(nodes, resolution)):
+    for i, (row, (_, core)) in enumerate(zip(rows, resolution)):
         if core != i:
             continue
-        label, action, _, t, f = node
+        label, action, _, t, f = row
         if label == POST:
             t_count, t = resolution[t]
             f_count, f = resolution[f]
@@ -304,31 +340,31 @@ def minimize(g: ThreadGraph) -> ThreadGraph:
     refined; a node's class is its key (delay count, block of its core).
     The quotient is built in one breadth-first pass from the root's key, so
     it is canonical.  Cost: two linear passes plus O(c log c) in c cores."""
-    nodes, resolution = _delay_resolution(g)
-    block = _core_blocks(nodes, resolution)
+    rows, resolution = _delay_resolution(g)
+    block = _core_blocks(rows, resolution)
     stride = len(block)  # above every block id, so (count, block) keys stay apart
     keys = [count * stride + block[core] for count, core in resolution]
     keys.pop()  # the shared D node's, which no edge of g reaches
     member = dict(zip(keys, range(len(keys))))  # the last node of each key
     if len(member) == len(g):
         return g  # no two nodes share a class, and every graph is canonical
-    return ThreadGraph._renumbered(g.nodes, g.root, list(map(member.__getitem__, keys)))
+    return ThreadGraph._renumbered(g._rows, g.root, list(map(member.__getitem__, keys)))
 
 
 # --- divergence and delay resolution ---------------------------------------
 # Divergence (a delay loop, or a delay chain into D) behaves as deadlock.
 # Every relation and ``minimize`` read the one-pass resolution below.
 
-def _delay_resolution(g: ThreadGraph) -> tuple[tuple[Node, ...], list[tuple[int, int]]]:
-    """``g.nodes`` plus the shared D node, and for each of those nodes the
-    number of delays before the first S or post node on its delay chain
-    and that node's id.  A divergent chain resolves to the shared D node,
+def _delay_resolution(g: ThreadGraph) -> tuple[tuple[tuple, ...], list[tuple[int, int]]]:
+    """The rows of ``g`` plus the shared D node's, and for each of those
+    nodes the number of delays before the first S or post node on its
+    delay chain and that node's id.  A divergent chain resolves to the shared D node,
     id ``len(g)``, with its divergence signature for a count: the number
     of delays into D, or -1 on a delay loop."""
-    nodes = g.nodes
-    d_id = len(nodes)
-    out: list = [None if node.kind == DELAY else (0, d_id) if node.kind == D else (0, i)
-                 for i, node in enumerate(nodes)]
+    rows = g._rows
+    d_id = len(rows)
+    out: list = [None if kind == DELAY else (0, d_id) if kind == D else (0, i)
+                 for i, (kind, _, _, _, _) in enumerate(rows)]
     for start in range(d_id):
         if out[start] is not None:
             continue
@@ -339,14 +375,19 @@ def _delay_resolution(g: ThreadGraph) -> tuple[tuple[Node, ...], list[tuple[int,
         while out[i] is None:
             trail.append(i)
             out[i] = (-1, d_id)
-            i = nodes[i].next
+            i = rows[i][2]
         count, core = out[i]
         if count >= 0:
             for j in reversed(trail):
                 count += 1
                 out[j] = (count, core)
     out.append((0, d_id))
-    return nodes + (_D_NODE,), out
+    return rows + (_D_ROW,), out
+
+
+def _has_delay(g: ThreadGraph) -> bool:
+    """True iff some node of ``g`` is a delay node."""
+    return any(row[0] == DELAY for row in g._rows)
 
 
 def has_adjacent_delays(g: ThreadGraph) -> bool:
@@ -360,20 +401,20 @@ def collapse_divergence(g: ThreadGraph) -> ThreadGraph:
     """Replace every node from which no S and no post node is reachable by a
     single shared D node.  Pure-delay loops and delay chains into D all
     become D; the functional behavior is unchanged."""
-    nodes, resolution = _delay_resolution(g)
+    rows, resolution = _delay_resolution(g)
     d_id = len(g)
     keep = [d_id if core == d_id else i for i, (_, core) in enumerate(resolution)]
     # redirected to D, the edges into divergent nodes leave them unreachable
-    return ThreadGraph._renumbered(nodes, g.root, keep)
+    return ThreadGraph._renumbered(rows, g.root, keep)
 
 
 def functional_abstraction(g: ThreadGraph) -> ThreadGraph:
     """Erase all delays: route every edge into a delay node to that node's
     first non-delay descendant, and every divergent one to deadlock."""
-    nodes, resolution = _delay_resolution(g)
+    rows, resolution = _delay_resolution(g)
     # redirected to their cores, the edges into delay nodes leave them
     # all unreachable
-    return ThreadGraph._renumbered(nodes, g.root, [c for _, c in resolution])
+    return ThreadGraph._renumbered(rows, g.root, [c for _, c in resolution])
 
 
 # --- text format ------------------------------------------------------------
@@ -411,55 +452,55 @@ def parse_thread(text: str) -> ThreadGraph:
     none is, the first reference to a reserved or undefined name raises at
     the line of the equation that makes it."""
     # every name gets the next number on first sight, as a definition or a
-    # reference; per number, ``nodes`` holds the name's node once it is
+    # reference; per number, ``rows`` holds the name's row once it is
     # defined, until then the line of the first equation referring to it
     index: dict[str, int] = {}
-    nodes: list = []
+    rows: list = []
     for lineno, raw_line in enumerate(text.split("\n"), 1):
         for segment in raw_line.partition("#")[0].split(";"):
             m = _EQUATION_RE.match(segment)
             if m is None:
                 if segment.strip():
-                    raise _rejected(segment, lineno, index, nodes)
+                    raise _rejected(segment, lineno, index, rows)
                 continue
             name, terminal, delay, action, true, false, prefix = m.groups()
             if name in _RESERVED_NAMES:
-                raise _rejected(segment, lineno, index, nodes)
-            i = index.setdefault(name, len(nodes))
-            if i == len(nodes):
-                nodes.append(None)
-            elif type(nodes[i]) is not int:  # defined before
-                raise _rejected(segment, lineno, index, nodes)
+                raise _rejected(segment, lineno, index, rows)
+            i = index.setdefault(name, len(rows))
+            if i == len(rows):
+                rows.append(None)
+            elif type(rows[i]) is not int:  # defined before
+                raise _rejected(segment, lineno, index, rows)
             if terminal:
-                nodes[i] = _S_NODE if terminal == S else _D_NODE
+                rows[i] = _S_ROW if terminal == S else _D_ROW
                 continue
             # the pattern has checked the action name and every target is
-            # numbered here, so the node is built unchecked
-            t = index.setdefault(true or delay or prefix, len(nodes))
-            if t == len(nodes):
-                nodes.append(lineno)
+            # numbered here, so the row needs no check
+            t = index.setdefault(true or delay or prefix, len(rows))
+            if t == len(rows):
+                rows.append(lineno)
             if delay:
-                nodes[i] = _new(Node, (DELAY, None, t, None, None))
+                rows[i] = (DELAY, None, t, None, None)
                 continue
-            f = t if prefix else index.setdefault(false, len(nodes))
-            if f == len(nodes):
-                nodes.append(lineno)
-            nodes[i] = _new(Node, (POST, action, None, t, f))
-    if not nodes:
+            f = t if prefix else index.setdefault(false, len(rows))
+            if f == len(rows):
+                rows.append(lineno)
+            rows[i] = (POST, action, None, t, f)
+    if not rows:
         raise ThreadSyntaxError("no equations")
-    if int in map(type, nodes):
+    if int in map(type, rows):
         # the first name referred to and never defined, first referred to
         # before any other such name
-        name, i = next((name, i) for name, i in index.items() if type(nodes[i]) is int)
+        name, i = next((name, i) for name, i in index.items() if type(rows[i]) is int)
         if name in _RESERVED_NAMES:
             form = "sigma(N)" if name == "sigma" else name
             raise ThreadSyntaxError(f"{name!r} is reserved and cannot be referred to; "
-                                    f"write 'X = {form}' and refer to X", nodes[i])
-        raise ThreadSyntaxError(f"undefined name {name!r}", nodes[i])
-    return ThreadGraph._renumbered(nodes, 0)
+                                    f"write 'X = {form}' and refer to X", rows[i])
+        raise ThreadSyntaxError(f"undefined name {name!r}", rows[i])
+    return ThreadGraph._renumbered(rows, 0)
 
 
-def _rejected(segment: str, lineno: int, index: dict[str, int], nodes: list) -> ThreadSyntaxError:
+def _rejected(segment: str, lineno: int, index: dict[str, int], rows: list) -> ThreadSyntaxError:
     """The error for a nonblank ``segment`` that ``parse_thread`` rejects:
     one ``_EQUATION_RE`` does not match, or one that defines a reserved
     name or a name defined before, given ``parse_thread``'s state."""
@@ -469,7 +510,7 @@ def _rejected(segment: str, lineno: int, index: dict[str, int], nodes: list) -> 
     name, rhs = m.groups()
     if name in _RESERVED_NAMES:
         return ThreadSyntaxError(f"{name!r} is reserved", lineno)
-    if name in index and type(nodes[index[name]]) is not int:
+    if name in index and type(rows[index[name]]) is not int:
         return ThreadSyntaxError(f"duplicate definition of {name!r}", lineno)
     return ThreadSyntaxError(f"cannot parse right-hand side {rhs!r}", lineno)
 
@@ -478,15 +519,13 @@ def print_thread(g: ThreadGraph) -> str:
     """Render equations, one per node in graph order; round-trips with
     ``parse_thread`` up to node naming."""
     lines = []
-    for i, node in enumerate(g.nodes):
-        if node.kind == S:
-            lines.append(f"T{i} = S")
-        elif node.kind == D:
-            lines.append(f"T{i} = D")
-        elif node.kind == DELAY:
-            lines.append(f"T{i} = sigma(T{node.next})")
+    for i, (kind, action, nxt, t, f) in enumerate(g._rows):
+        if kind == POST:
+            lines.append(f"T{i} = {action} ? T{t} : T{f}")
+        elif kind == DELAY:
+            lines.append(f"T{i} = sigma(T{nxt})")
         else:
-            lines.append(f"T{i} = {node.action} ? T{node.true} : T{node.false}")
+            lines.append(f"T{i} = {kind}")
     return "\n".join(lines)
 
 
@@ -496,16 +535,16 @@ def to_dot(g: ThreadGraph) -> str:
     """DOT digraph: solid edge = true branch, dashed edge = false branch."""
     # one walk: the node lines, then the edge lines
     heads, edges = ["digraph thread {"], []
-    for i, node in enumerate(g.nodes):
-        if node.kind == POST:
-            heads.append(f'  n{i} [label="{node.action}"];')
-            edges.append(f"  n{i} -> n{node.true} [style=solid];")
-            edges.append(f"  n{i} -> n{node.false} [style=dashed];")
-        elif node.kind == DELAY:
+    for i, (kind, action, nxt, t, f) in enumerate(g._rows):
+        if kind == POST:
+            heads.append(f'  n{i} [label="{action}"];')
+            edges.append(f"  n{i} -> n{t} [style=solid];")
+            edges.append(f"  n{i} -> n{f} [style=dashed];")
+        elif kind == DELAY:
             heads.append(f'  n{i} [label="σ"];')
-            edges.append(f"  n{i} -> n{node.next};")
+            edges.append(f"  n{i} -> n{nxt};")
         else:
-            heads.append(f'  n{i} [label="{node.kind}", shape=box];')
+            heads.append(f'  n{i} [label="{kind}", shape=box];')
     edges.append("}")
     return "\n".join(heads + edges)
 
@@ -513,15 +552,13 @@ def to_dot(g: ThreadGraph) -> str:
 def graph_to_dict(g: ThreadGraph) -> dict:
     """The graph as JSON data: the root and one entry per node."""
     nodes = []
-    for i, node in enumerate(g.nodes):
-        entry: dict = {"id": i, "kind": node.kind}
-        if node.kind == POST:
-            entry["action"] = node.action
-            entry["true"] = node.true
-            entry["false"] = node.false
-        elif node.kind == DELAY:
-            entry["next"] = node.next
-        nodes.append(entry)
+    for i, (kind, action, nxt, t, f) in enumerate(g._rows):
+        if kind == POST:
+            nodes.append({"id": i, "kind": kind, "action": action, "true": t, "false": f})
+        elif kind == DELAY:
+            nodes.append({"id": i, "kind": kind, "next": nxt})
+        else:
+            nodes.append({"id": i, "kind": kind})
     return {"root": g.root, "nodes": nodes}
 
 
@@ -529,13 +566,12 @@ def to_json(g: ThreadGraph) -> str:
     """``json.dumps(graph_to_dict(g))``, written directly: kinds are fixed
     words and action names need no escaping."""
     entries = []
-    for i, node in enumerate(g.nodes):
-        kind = node.kind
+    for i, (kind, action, nxt, t, f) in enumerate(g._rows):
         if kind == POST:
-            entries.append(f'{{"id": {i}, "kind": "post", "action": "{node.action}", '
-                           f'"true": {node.true}, "false": {node.false}}}')
+            entries.append(f'{{"id": {i}, "kind": "post", "action": "{action}", '
+                           f'"true": {t}, "false": {f}}}')
         elif kind == DELAY:
-            entries.append(f'{{"id": {i}, "kind": "delay", "next": {node.next}}}')
+            entries.append(f'{{"id": {i}, "kind": "delay", "next": {nxt}}}')
         else:
             entries.append(f'{{"id": {i}, "kind": "{kind}"}}')
     return f'{{"root": {g.root}, "nodes": [{", ".join(entries)}]}}'

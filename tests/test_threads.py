@@ -7,6 +7,7 @@ from pga_mech import (
     ThreadSyntaxError,
     bisimilar,
     collapse_divergence,
+    extract_functional,
     extract_mechanistic,
     functional_abstraction,
     graph_to_dict,
@@ -62,6 +63,20 @@ def test_graph_constructor_checks():
             ThreadGraph([node], 0)
     with pytest.raises(ValueError, match="^delay count must be nonnegative$"):
         make_delay(make_s(), -1)
+
+
+def test_graph_constructor_takes_only_nodes():
+    for entry, message in (((S, None, None, None, None),
+                            "node 1 is not a Node: ('S', None, None, None, None)"),
+                           (None, "node 1 is not a Node: None"),
+                           ("S", "node 1 is not a Node: 'S'")):
+        with pytest.raises(TypeError) as error:
+            ThreadGraph([Node(S), entry, None], 0)
+        assert str(error.value) == message
+    # the entries are checked before the root and the edges
+    with pytest.raises(TypeError) as error:
+        ThreadGraph([Node(DELAY, next=7), (D,)], 5)
+    assert str(error.value) == "node 1 is not a Node: ('D',)"
 
 
 def test_parse_thread_shapes():
@@ -340,3 +355,56 @@ def test_json_schema():
         ],
     }
     assert graph_to_dict(make_s()) == {"root": 0, "nodes": [{"id": 0, "kind": "S"}]}
+
+
+def _view_contract_graphs():
+    """Factories of graphs from every public builder; each call builds a
+    new graph whose ``nodes`` view has not been read."""
+    rng = random.Random(41)
+    seqs = [random_seq(rng) for _ in range(30)] + [parse_pga("+a;#2;!;b;#0"),
+                                                   parse_pga("(#1;#1;a)^w")]
+    texts = [print_thread(random_graph(rng)) for _ in range(30)]
+    texts.append("P = a ? Q : R; Q = sigma(P)\nR = b . R")
+    factories = []
+    for seq in seqs:
+        factories += [lambda seq=seq: extract_functional(seq),
+                      lambda seq=seq: extract_mechanistic(seq),
+                      lambda seq=seq: minimize(extract_mechanistic(seq)),
+                      lambda seq=seq: collapse_divergence(extract_mechanistic(seq)),
+                      lambda seq=seq: functional_abstraction(extract_mechanistic(seq))]
+    for text in texts:
+        factories += [lambda text=text: parse_thread(text),
+                      lambda text=text: minimize(parse_thread(text))]
+    factories += [
+        make_s, make_d,
+        lambda: make_delay(make_prefix("a", make_s()), 2),
+        lambda: make_post("b", make_delay(make_d()), make_prefix("a", make_s())),
+        lambda: ThreadGraph([Node(S), Node(DELAY, next=2),
+                             Node(POST, action="a", true=1, false=0)], 2),
+    ]
+    return factories
+
+
+def test_nodes_view_leaves_the_graph_unchanged():
+    def observed(g):
+        return (len(g), hash(g), print_thread(g), to_dot(g), to_json(g), graph_to_dict(g))
+
+    kinds = set()
+    for make in _view_contract_graphs():
+        g, fresh = make(), make()
+        # builders and renderers work on plain rows and build no Node
+        before = observed(g)
+        assert all(type(row) is tuple for row in g._rows)
+        assert g == fresh and fresh == g
+        nodes = g.nodes
+        assert all(type(node) is Node for node in nodes)
+        assert g.nodes is nodes
+        with pytest.raises(AttributeError):
+            g.nodes = nodes
+        assert observed(g) == before
+        assert g == fresh and fresh == g and hash(g) == hash(fresh)
+        # a Node hashes like its plain tuple, so a graph hashes as the tuple
+        # of its Nodes, whether or not the view has been built
+        assert hash(g) == hash(nodes)
+        kinds.update(node.kind for node in nodes)
+    assert kinds == {S, D, DELAY, POST}
