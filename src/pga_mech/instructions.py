@@ -209,11 +209,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _BUILD = {"!": lambda _: TERMINATE, "jump": lambda digits: jump(int(digits)),
           "pos": pos_test, "neg": neg_test, "ident": basic}
 
-# one ``;``-piece of the text that holds exactly one instruction, with the
-# group of its kind as named by ``_PIECE_KINDS``; and what may follow the
-# ``)`` that closes the repetition group
+
+def _unchecked(kind: str, action: str | None = None, counter: int | None = None) -> Instruction:
+    """The instruction of fields already known to be valid, built without
+    the checks of the ``Instruction`` constructor."""
+    ins = object.__new__(Instruction)
+    # set one field at a time, as the constructor does: filling ``__dict__``
+    # at once would leave the instance a dict that reads its fields slower
+    object.__setattr__(ins, "kind", kind)
+    object.__setattr__(ins, "action", action)
+    object.__setattr__(ins, "counter", counter)
+    return ins
+
+
+# one ``;``-piece of the text that holds exactly one instruction, one group
+# per kind; per group, the piece's instruction from that group's text,
+# built unchecked, since the pattern has checked the action name and the
+# digits; and what may follow the ``)`` that closes the repetition group
 _PIECE_RE = re.compile(rf"\s*(?:(!)|#([0-9]+)|\+({_NAME})|-({_NAME})|({_NAME}))\s*\Z")
-_PIECE_KINDS = (None, "!", "jump", "pos", "neg", "ident")
+_PIECE_BUILD = (None, lambda _: TERMINATE, lambda digits: _unchecked(JUMP, counter=int(digits)),
+                lambda action: _unchecked(POS_TEST, action),
+                lambda action: _unchecked(NEG_TEST, action),
+                lambda action: _unchecked(BASIC, action))
 _TAIL_RE = re.compile(r"\s*\^\s*(?:w|ω)\s*\Z")
 
 
@@ -226,9 +243,10 @@ def parse_pga(text: str) -> InstrSeq:
     ``(``, ``)``, ``^`` and ``w``/``ω`` but may not split a token.
 
     The text is cut at its first ``(``, its last ``)`` and every ``;``, and
-    each distinct piece is checked and built once.  Only when a check fails
-    does the token walk read the text, to raise the error with its line
-    and column.
+    each distinct piece is checked once and its instruction built once,
+    unchecked, since the piece's pattern has checked the action name and
+    the digits.  Only when a check fails does the token walk read the text,
+    to raise the error with its line and column.
     """
     head, paren, rest = text.partition("(")
     pieces = head.split(";")
@@ -246,9 +264,10 @@ def parse_pga(text: str) -> InstrSeq:
         if match is None:
             return _parse_tokens(text)
         group = match.lastindex
-        built[piece] = _BUILD[_PIECE_KINDS[group]](match[group])
+        built[piece] = _PIECE_BUILD[group](match[group])
     code = tuple(map(built.__getitem__, pieces))
-    return InstrSeq(code[:n], code[n:] if paren else None)
+    # no piece is empty, so a cycle is nonempty and so is a sequence
+    return InstrSeq._trusted(code[:n], code[n:] if paren else None)
 
 
 def _parse_tokens(text: str) -> InstrSeq:

@@ -274,6 +274,8 @@ def _core_blocks(rows: tuple[tuple, ...], resolution: list[tuple[int, int]]) -> 
     block that the splitter's predecessors over one letter hit only partly
     keeps its id for the larger part, and the smaller part takes a new id
     and is queued: Hopcroft's rule, whether or not the old block is queued.
+    A letter with one predecessor, or two in one block, splits without
+    grouping its predecessors by block; a two-node block hit whole stays.
     """
     true_inverse, false_inverse = [[] for _ in rows], [[] for _ in rows]
     labels: dict = {}
@@ -313,6 +315,23 @@ def _core_blocks(rows: tuple[tuple, ...], resolution: list[tuple[int, int]]) -> 
                     members.append({j})
             if len(hit_nodes) < 2:
                 continue
+            if len(hit_nodes) == 2:  # most of the rest: no grouping either
+                j, k = hit_nodes
+                c = block[j]
+                if block[k] == c:
+                    rest = members[c]
+                    if len(rest) == 2:  # hit whole
+                        continue
+                    part = {j, k}
+                    rest -= part
+                    if len(rest) == 1:  # the smaller part moves
+                        members[c], part = part, rest
+                    new = len(members)
+                    members.append(part)
+                    for j in part:
+                        block[j] = new
+                    work.append(new)
+                    continue
             # each node has at most one successor per letter, so no
             # predecessor is hit twice
             hit: dict[int, list[int]] = {}
@@ -517,34 +536,41 @@ def _rejected(segment: str, lineno: int, index: dict[str, int], rows: list) -> T
 
 def print_thread(g: ThreadGraph) -> str:
     """Render equations, one per node in graph order; round-trips with
-    ``parse_thread`` up to node naming."""
+    ``parse_thread`` up to node naming.  Each node's name is formatted
+    once, and an edge reads it by the node's id."""
+    rows = g._rows
+    names = [f"T{i}" for i in range(len(rows))]
     lines = []
-    for i, (kind, action, nxt, t, f) in enumerate(g._rows):
+    for name, (kind, action, nxt, t, f) in zip(names, rows):
         if kind == POST:
-            lines.append(f"T{i} = {action} ? T{t} : T{f}")
+            lines.append(f"{name} = {action} ? {names[t]} : {names[f]}")
         elif kind == DELAY:
-            lines.append(f"T{i} = sigma(T{nxt})")
+            lines.append(f"{name} = sigma({names[nxt]})")
         else:
-            lines.append(f"T{i} = {kind}")
+            lines.append(f"{name} = {kind}")
     return "\n".join(lines)
 
 
 # --- exports ----------------------------------------------------------------
 
 def to_dot(g: ThreadGraph) -> str:
-    """DOT digraph: solid edge = true branch, dashed edge = false branch."""
+    """DOT digraph: solid edge = true branch, dashed edge = false branch.
+    Each node's name is formatted once, and an edge reads it by the node's
+    id; a post's two edge lines are one string."""
     # one walk: the node lines, then the edge lines
+    rows = g._rows
+    names = [f"n{i}" for i in range(len(rows))]
     heads, edges = ["digraph thread {"], []
-    for i, (kind, action, nxt, t, f) in enumerate(g._rows):
+    for name, (kind, action, nxt, t, f) in zip(names, rows):
         if kind == POST:
-            heads.append(f'  n{i} [label="{action}"];')
-            edges.append(f"  n{i} -> n{t} [style=solid];")
-            edges.append(f"  n{i} -> n{f} [style=dashed];")
+            heads.append(f'  {name} [label="{action}"];')
+            edges.append(f"  {name} -> {names[t]} [style=solid];\n"
+                         f"  {name} -> {names[f]} [style=dashed];")
         elif kind == DELAY:
-            heads.append(f'  n{i} [label="σ"];')
-            edges.append(f"  n{i} -> n{nxt};")
+            heads.append(f'  {name} [label="σ"];')
+            edges.append(f"  {name} -> {names[nxt]};")
         else:
-            heads.append(f'  n{i} [label="{kind}", shape=box];')
+            heads.append(f'  {name} [label="{kind}", shape=box];')
     edges.append("}")
     return "\n".join(heads + edges)
 
@@ -564,14 +590,17 @@ def graph_to_dict(g: ThreadGraph) -> dict:
 
 def to_json(g: ThreadGraph) -> str:
     """``json.dumps(graph_to_dict(g))``, written directly: kinds are fixed
-    words and action names need no escaping."""
+    words and action names need no escaping.  Each id is formatted once,
+    and an edge reads it by the node's id."""
+    rows = g._rows
+    ids = list(map(str, range(len(rows))))
     entries = []
-    for i, (kind, action, nxt, t, f) in enumerate(g._rows):
+    for i, (kind, action, nxt, t, f) in zip(ids, rows):
         if kind == POST:
             entries.append(f'{{"id": {i}, "kind": "post", "action": "{action}", '
-                           f'"true": {t}, "false": {f}}}')
+                           f'"true": {ids[t]}, "false": {ids[f]}}}')
         elif kind == DELAY:
-            entries.append(f'{{"id": {i}, "kind": "delay", "next": {nxt}}}')
+            entries.append(f'{{"id": {i}, "kind": "delay", "next": {ids[nxt]}}}')
         else:
             entries.append(f'{{"id": {i}, "kind": "{kind}"}}')
     return f'{{"root": {g.root}, "nodes": [{", ".join(entries)}]}}'

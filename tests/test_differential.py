@@ -1,10 +1,11 @@
 """The product-walk relations, Hopcroft minimization, the one-pass delay
 resolution, the demand-driven implementation search, the one-loop
-extraction and the directly written JSON against the slow reference
-algorithms in ``helpers`` and the library's own slower forms: Moore
-refinement, the greatest-fixpoint preorder, the liveness-based divergence
-collapse, the index-order search, the memoizing recursive extraction and
-``json.dumps`` of ``graph_to_dict``.
+extraction and the renderers against the slow reference algorithms in
+``helpers``, the library's own slower forms and plain references here:
+Moore refinement, the greatest-fixpoint preorder, the liveness-based
+divergence collapse, the index-order search, the memoizing recursive
+extraction, ``json.dumps`` of ``graph_to_dict`` and renderers written from
+the ``Node`` view.
 
 Independent random graphs are almost always functionally different, so
 most pairs here are a graph against a delay-perturbed copy of itself,
@@ -37,10 +38,13 @@ from pga_mech import (
     parse_pga,
     parse_thread,
     reachable_positions,
+    print_thread,
     search_implementations,
+    to_dot,
     to_json,
 )
 from pga_mech.extraction import _extract
+from pga_mech.instructions import JUMP
 from pga_mech.threads import D, DELAY, POST, S, ThreadGraph, _delay_resolution
 
 from helpers import (
@@ -317,6 +321,58 @@ def _check_extract(seq):
             (str(seq), with_delays)
 
 
+def _jump_dense_seq(rng):
+    """A sequence of up to 18 instructions, most of them jumps: ``#0``,
+    counters up to 3·(n+m), and jumps whose target is exactly position
+    n+m or n+m+1 (the first two slots of the cycle again, or past the
+    end)."""
+    n = rng.randint(0, 8)
+    m = rng.randint(1, 10) if rng.random() < 0.8 else 0
+    if not n + m:
+        n = 1
+    size = n + m
+
+    def instr(p):
+        roll = rng.random()
+        if roll < 0.25:
+            return rng.choice(("a", "+a", "-b", "!"))
+        if roll < 0.35:
+            return "#0"
+        if roll < 0.5:
+            return f"#{size + rng.randint(0, 1) - p}"
+        return f"#{rng.randint(1, 3 * size)}"
+
+    ins = [instr(p) for p in range(size)]
+    return parse_pga(";".join(ins[:n] + ([f"({';'.join(ins[n:])})^w"] if m else [])))
+
+
+def _jump_shapes(seq):
+    """What the jump chains of ``seq`` do, followed here position by
+    position: land exactly on n+m or n+m+1, wrap the cycle, run off the
+    end, and end in a cycle of jumps, entered in the cycle or from the
+    prefix."""
+    code = seq.prefix + (seq.cycle or ())
+    n, m = seq.prefix_len, seq.cycle_len
+    size = n + m
+    shapes = set()
+    for start, ins in enumerate(code):
+        if ins.kind != JUMP or not ins.counter:
+            continue
+        p, passed = start, []
+        while p is not None and code[p].kind == JUMP and code[p].counter and p not in passed:
+            passed.append(p)
+            q = p + code[p].counter
+            if q in (size, size + 1):
+                shapes.add(f"onto n+m+{q - size}")
+            if q >= size:
+                shapes.add("wraps" if m else "off the end")
+                q = n + (q - n) % m if m else None
+            p = q
+        if p in passed:
+            shapes.add("jump cycle in the cycle" if start >= n else "jump cycle from the prefix")
+    return shapes
+
+
 _JUMPY = ("a", "+a", "-b", "!", "#0", "#1", "#2", "#3", "#5", "#9")
 
 
@@ -343,6 +399,68 @@ def test_extract_matches_reference():
         seq = parse_pga(";".join(ins[:count // 5]) + ";(" + ";".join(ins[count // 5:]) + ";-a;!)^w")
         _check_extract(seq)
         assert len(extract_mechanistic(seq)) > count // 2
+    # jump-dense: every counter from #0 up to 3·(n+m), chains that wrap
+    # the cycle (some more than once), and cycles of jumps inside the cycle
+    # and entered from the prefix
+    shapes = set()
+    for _ in range(3000):
+        seq = _jump_dense_seq(rng)
+        shapes |= _jump_shapes(seq)
+        _check_extract(seq)
+    assert shapes == {"onto n+m+0", "onto n+m+1", "wraps", "off the end",
+                      "jump cycle in the cycle", "jump cycle from the prefix"}
+
+
+def _print_thread_reference(g):
+    """``print_thread`` written from the ``Node`` view, one name per use."""
+    lines = []
+    for i, node in enumerate(g.nodes):
+        if node.kind == POST:
+            lines.append(f"T{i} = {node.action} ? T{node.true} : T{node.false}")
+        elif node.kind == DELAY:
+            lines.append(f"T{i} = sigma(T{node.next})")
+        else:
+            lines.append(f"T{i} = {node.kind}")
+    return "\n".join(lines)
+
+
+def _to_dot_reference(g):
+    """``to_dot`` written from the ``Node`` view: the node lines, then
+    the edge lines."""
+    lines = ["digraph thread {"]
+    for i, node in enumerate(g.nodes):
+        label = "σ" if node.kind == DELAY else node.action if node.kind == POST else node.kind
+        box = ", shape=box" if node.kind in (S, D) else ""
+        lines.append(f'  n{i} [label="{label}"{box}];')
+    for i, node in enumerate(g.nodes):
+        if node.kind == POST:
+            lines.append(f"  n{i} -> n{node.true} [style=solid];")
+            lines.append(f"  n{i} -> n{node.false} [style=dashed];")
+        elif node.kind == DELAY:
+            lines.append(f"  n{i} -> n{node.next};")
+    return "\n".join(lines + ["}"])
+
+
+def test_renderers_match_references():
+    # random graphs, extracted graphs of both kinds, and dense extractions
+    # of thousands of nodes, where ids run to four and five digits
+    rng = random.Random(3012)
+    graphs = [random_graph(rng, max_nodes=12, actions=("a", "x.y", "b_2")) for _ in range(400)]
+    for _ in range(200):
+        seq = random_seq(rng, actions=("a.b", "c_1", "d2"))
+        graphs += [extract_mechanistic(seq), extract_functional(seq)]
+    dense = ("a", "b", "+a", "-b", "+c", "#1", "#2", "#3")
+    for count in (300, 3000, 12_000):
+        ins = [rng.choice(dense) for _ in range(count)]
+        seq = parse_pga(";".join(ins[:count // 5]) + ";(" + ";".join(ins[count // 5:]) + ";-a;!)^w")
+        graphs += [extract_mechanistic(seq), extract_functional(seq)]
+    assert max(map(len, graphs)) > 10_000
+    for g in graphs:
+        text = print_thread(g)
+        assert to_json(g) == json.dumps(graph_to_dict(g))
+        assert to_dot(g) == _to_dot_reference(g)
+        assert text == _print_thread_reference(g)
+        assert parse_thread(text) == g
 
 
 def test_to_json_matches_json_dumps():

@@ -13,7 +13,10 @@ walk per pair of results takes minutes, and of ``P = a . P`` over ``{a}`` at
 (3,2) and (2,3), whose 1,456 and 2,269 distinct graphs take 6.0 s and
 13.2 s at a walk per pair of graphs; for functional extraction of many
 jumps that land on one long jump chain, where a chase that re-walks the
-chain from every jump is quadratic; and for the delay resolution of
+chain from every jump is quadratic, and of a cycle of 10⁴ instructions,
+most of them short jumps onto later jumps and some jumps that wrap the
+cycle, where the landings are one pass from the last position to the
+first and only a wrapping jump chases its chain; and for the delay resolution of
 ``#1ⁿ;a;(#1)^w``, a long delay chain in front of a delay loop, where a
 resolution that chases from every node is quadratic.  And for ``bisimilar``
 and ``improves`` on ``#1;(a¹⁰⁰⁰)^w`` against ``(a¹⁰⁰¹)^w``, where the
@@ -162,6 +165,29 @@ def test_converging_jump_chains_extract_functional_at_4000():
     blocks = [f"+a;#{2 * n - 2 * i - 1}" for i in range(n)]
     seq = parse_pga(";".join(blocks + ["#1"] * n + ["b", "!"]))
     assert len(_timed(extract_functional, seq)) == n + 2
+
+
+def test_wrapping_jump_chains_extract_functional_at_10000():
+    # a cycle of 10^4 instructions, four in five of them short jumps, so
+    # most jumps land on later jumps and chains run long; one in fifty
+    # jumps half the cycle or more, so chains also wrap it
+    rng = random.Random(27)
+    count = 10_000
+    ins = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.2:
+            ins.append(rng.choice(("a", "+b", "-c")))
+        elif roll < 0.22:
+            ins.append(f"#{rng.randint(count // 2, 2 * count)}")
+        else:
+            ins.append(f"#{rng.randint(1, 4)}")
+    seq = parse_pga("+a;#3;(" + ";".join(ins) + ")^w")
+    code = seq.prefix + seq.cycle
+    targets = [p + i.counter for p, i in enumerate(code) if i.counter]
+    assert sum(q < len(code) and code[q].counter is not None for q in targets) > len(targets) / 2
+    assert sum(q >= len(code) for q in targets) > 100
+    assert len(_timed(extract_functional, seq)) > 300
 
 
 def test_delay_chain_into_delay_loop_resolves_at_4000():
