@@ -48,6 +48,12 @@ _NAME = r"[a-z][A-Za-z0-9_.]*"  # an action name; ASCII only
 _ACTION_RE = re.compile(_NAME + r"\Z")
 
 
+def _check_action(action) -> None:
+    """Raise ``ValueError`` unless ``action`` is a string that is an action name."""
+    if not isinstance(action, str) or not _ACTION_RE.match(action):
+        raise ValueError(f"invalid action name {action!r}")
+
+
 class PgaSyntaxError(ValueError):
     """Malformed instruction-sequence text."""
 
@@ -73,8 +79,7 @@ class Instruction:
 
     def __post_init__(self) -> None:
         if self.kind in (BASIC, POS_TEST, NEG_TEST):
-            if self.action is None or not _ACTION_RE.match(self.action):
-                raise ValueError(f"invalid action name {self.action!r}")
+            _check_action(self.action)
             if self.counter is not None:
                 raise ValueError("action instructions carry no counter")
         elif self.kind == JUMP:

@@ -8,14 +8,16 @@ are emitted, under an explicit budget.  Exact prunes cut the walk without
 changing its results.  The target is minimized.  A walk that pairs a slot
 with two target nodes fails at once, since two nodes of a minimal graph are
 never bisimilar, and so does a walk whose items wait on one unassigned slot
-at two nodes.  An action instruction is offered only where its replies fit
+at two nodes.  One function, ``_classes``, decides which options fit a slot
+and how they group.  An action instruction fits only where its replies fit
 the node's successors: replies that reach one slot need one successor, and
-a reply that runs off the end needs D.  By pigeonhole, a branch is dropped
-when the target's S and post nodes not yet paired outnumber the slots left
-to pair them with, and a shape with fewer slots than those nodes is
-skipped.  Slot options that send every run to the same slots, one delay
-per executed jump whatever its counter, are interchangeable: the walk
-branches once per class of them and emits every member.  The
+a reply that runs off the end needs D.  Away from D, a jump fits only where
+it does not deadlock at once.  Options that send every run to the same
+slots, one delay per executed jump whatever its counter, are
+interchangeable: the walk branches once per class of them and emits every
+member.  By pigeonhole, a branch is dropped when the target's S and post
+nodes not yet paired outnumber the slots left to pair them with, and a
+shape with fewer slots than those nodes is skipped.  The
 ``max_candidates`` budget is one count across all shapes.
 
 ``pareto_front`` keeps the results whose mechanistic behavior no other
@@ -47,11 +49,11 @@ from .instructions import (
     JUMP,
     TERMINATE,
     TERMINATION,
-    _ACTION_RE,
     InstrSeq,
     Instruction,
     _branches,
     _chase,
+    _check_action,
     _slot,
     basic,
     jump,
@@ -100,8 +102,7 @@ class SearchBounds:
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
         for action in self.alphabet:
-            if not _ACTION_RE.match(action):
-                raise ValueError(f"invalid action name {action!r}")
+            _check_action(action)
 
 
 @cache
@@ -114,57 +115,51 @@ def _slot_options(total: int, alphabet: tuple[str, ...]) -> tuple[Instruction, .
             *(jump(k) for k in range(total + 1)))
 
 
-def _allowed(n: int, m: int, s: int, kind: str, action: str | None, t_d: bool, f_d: bool,
-             same: bool, alphabet: tuple[str, ...]) -> tuple[int, ...]:
-    """Indices into ``_slot_options(n + m, alphabet)`` for slot ``s`` of
-    prefix length ``n`` and cycle length ``m``, reached at a target node of
-    ``kind`` and ``action`` whose true and false successors are D (``t_d``,
-    ``f_d``) and are one node (``same``): ``!`` at S, every jump except,
-    away from D, the ones that deadlock at once (#0, off the end, back onto
-    ``s``), and at a post node an action instruction on its action whose
-    replies fit the successors.  Replies that reach one slot need one
-    successor, since a slot pairs with one target node; this rules out a
-    basic action at a branching node and a test in a one-slot cycle.  A
-    reply that runs off the end needs D."""
-    allowed = []
-    for i, ins in enumerate(_slot_options(n + m, alphabet)):
-        if ins.kind == JUMP:
-            fits = kind == D or (ins.counter and _slot(n, m, s + ins.counter) not in (None, s))
-        elif ins.kind == TERMINATION:
-            fits = kind == S
-        elif kind == POST and action == ins.action:
-            t, f = (_slot(n, m, q) for q in _branches(s, ins))
-            fits = (same or t != f) and (t_d or t is not None) and (f_d or f is not None)
-        else:
-            fits = False
-        if fits:
-            allowed.append(i)
-    return tuple(allowed)
-
-
 @cache
 def _classes(n: int, m: int, s: int, kind: str, action: str | None, t_d: bool, f_d: bool,
              same: bool, alphabet: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-    """``_allowed``'s options for the same arguments, grouped by their
-    effect at slot ``s``, each class and its members in ascending order.
-    An action instruction's effect is its action and the canonical slots
-    of its true and false replies; a jump's is whether its counter is
-    nonzero and the canonical slot it lands on; ``!`` is a class of its
-    own.  Members of a class send every run to the same slots at the same
-    cost, one delay per executed jump whatever its counter, so they give
-    the same walk and the same mechanistic graph.  ``#0`` and a jump off
-    the end both give no slot, but the first gives D and the second a
-    delay in front of it, so their classes differ."""
-    options = _slot_options(n + m, alphabet)
+    """The options that fit slot ``s`` of prefix length ``n`` and cycle
+    length ``m``, as indices into ``_slot_options(n + m, alphabet)``,
+    grouped by their effect there, each class and its members in ascending
+    order.  The slot is reached at a target node of ``kind`` and ``action``
+    whose true and false successors are D (``t_d``, ``f_d``) and are one
+    node (``same``).
+
+    ``!`` fits at S and is a class of its own.  Every jump fits at D;
+    elsewhere a jump fits unless it deadlocks at once, by running off the
+    end or landing back on ``s`` as ``#0`` does.  A jump's effect is
+    whether its counter is nonzero and the canonical slot it lands on.  At
+    D, ``#0`` and a jump off the end both end the run, but the first gives
+    D and the second a delay in front of it, so their classes differ.
+
+    At a post node an action instruction on its action fits where its
+    replies fit the successors, and its effect is the canonical slots of
+    its true and false replies.  Replies that reach one slot need one
+    successor, since a slot pairs with one target node; this rules out a
+    basic action at a branching node and a test in a one-slot cycle.  A
+    reply that runs off the end needs D.
+
+    Members of a class send every run to the same slots at the same cost,
+    one delay per executed jump whatever its counter, so they give the
+    same walk and the same mechanistic graph."""
     classes: dict[tuple, list[int]] = {}
-    for i in _allowed(n, m, s, kind, action, t_d, f_d, same, alphabet):
-        ins = options[i]
+    for i, ins in enumerate(_slot_options(n + m, alphabet)):
         if ins.kind == JUMP:
-            effect = (JUMP, ins.counter > 0, _slot(n, m, s + ins.counter))
+            land = _slot(n, m, s + ins.counter)
+            if kind != D and land in (None, s):
+                continue
+            effect = (JUMP, ins.counter > 0, land)
         elif ins.kind == TERMINATION:
+            if kind != S:
+                continue
             effect = (TERMINATION,)
+        elif kind == POST and ins.action == action:
+            t, f = (_slot(n, m, q) for q in _branches(s, ins))
+            if not ((same or t != f) and (t_d or t is not None) and (f_d or f is not None)):
+                continue
+            effect = (POST, action, t, f)
         else:
-            effect = (POST, ins.action, *(_slot(n, m, q) for q in _branches(s, ins)))
+            continue
         classes.setdefault(effect, []).append(i)
     return tuple(map(tuple, classes.values()))
 
@@ -194,10 +189,9 @@ class _ShapeSearch:
     Invariant: ``slots`` and ``picks`` are the one record of the choices,
     assigned and cleared together: ``picks[s]`` is the class assigned to
     slot ``s`` and ``slots[s]`` its first member, or both are None where
-    unassigned, and ``free`` counts the unassigned slots.  A slot is
-    assigned only when the walk reaches it, to a class ``_classes`` offers
-    at the target node there, and the next walk meets it first, at that
-    node, so the walk never checks a slot's fit.
+    unassigned.  A slot is assigned only when the walk reaches it, to a
+    class ``_classes`` offers at the target node there, and the next walk
+    meets it first, at that node, so the walk never checks a slot's fit.
     """
 
     def __init__(self, p: ThreadGraph, alphabet: tuple[str, ...],
@@ -226,16 +220,8 @@ class _ShapeSearch:
         """Every matching sequence of the shape, by option indices."""
         self.n, self.m = n, m
         self.options = options = _slot_options(n + m, self.alphabet)
-        # the canonical slot of each position a walk item starts at, 0 to
-        # n + m + 1: the root, and the replies of an action instruction in
-        # any slot; where a jump lands is left to ``_chase``
-        self.at = [_slot(n, m, q) for q in range(n + m + 2)]
-        # ``_classes`` per slot and target node, filled on first use
-        self.fits: list[list[tuple[tuple[int, ...], ...] | None]] = [
-            [None] * len(self.trows) for _ in range(n + m)]
         self.slots: list[Instruction | None] = [None] * (n + m)
         self.picks: list[tuple[int, ...] | None] = [None] * (n + m)
-        self.free = n + m
         self.keys: list[tuple[tuple[int, ...], int]] = []  # (option indices, walk)
         self._walk({}, [(0, 0)])
         seq = InstrSeq._trusted
@@ -260,15 +246,12 @@ class _ShapeSearch:
         ``seen`` pairs each slot the walk has matched with its target node."""
         # an item that lands on an unassigned slot waits there, in
         # ``waiting`` (slot: target node), while the rest of the walk goes on
-        slots, at, kinds = self.slots, self.at, self.kinds
+        slots, kinds, n, m = self.slots, self.kinds, self.n, self.m
         waiting: dict[int, int] = {}
         while stack:
             start, tnode = stack.pop()
-            s = at[start]
+            s = _chase(slots, n, m, start)
             ins = None if s is None else slots[s]
-            if ins is not None and ins.kind == JUMP and ins.counter:
-                s = _chase(slots, self.n, self.m, s)
-                ins = None if s is None else slots[s]
             if ins is None and s is not None:  # an unassigned slot
                 # two nodes would meet in it as a non-jump, or at one landing
                 # of it as a jump; no two nodes of a minimal target are
@@ -298,25 +281,19 @@ class _ShapeSearch:
         first, tnode = next(iter(waiting.items()))
         # pigeonhole: each unpaired S or post node needs a free slot of its
         # own, and slot ``first`` can serve only its node, only as a non-jump
+        options, picks = self.options, self.picks
         paired = set(seen.values())
-        free = self.free - 1
+        free = picks.count(None) - 1
         unpaired = self.need - len(paired)
         jumps = unpaired <= free
         others = unpaired - (kinds[tnode] != D and tnode not in paired) <= free
-        classes = self.fits[first][tnode]
-        if classes is None:
-            classes = self.fits[first][tnode] = _classes(
-                self.n, self.m, first, *self.facts[tnode], self.alphabet)
-        options, picks = self.options, self.picks
         items = [*reversed(waiting.items())]
-        self.free = free
-        for members in classes:
+        for members in _classes(n, m, first, *self.facts[tnode], self.alphabet):
             ins = options[members[0]]
             if jumps if ins.kind == JUMP else others:
                 slots[first], picks[first] = ins, members
                 self._walk(dict(seen), items.copy())
         slots[first] = picks[first] = None
-        self.free = free + 1
 
     def _emit(self) -> None:
         """Check the finished walk once and record, as one walk, every

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .instructions import _ACTION_RE, _NAME
+from .instructions import _NAME, _check_action
 
 __all__ = [
     "S",
@@ -67,11 +67,6 @@ _RESERVED_NAMES = {"S", "D", "sigma"}
 
 def _is_id(s) -> bool:
     return isinstance(s, int) and s >= 0
-
-
-def _check_action(action) -> None:
-    if not isinstance(action, str) or not _ACTION_RE.match(action):
-        raise ValueError(f"invalid action name {action!r}")
 
 
 class Node(namedtuple("Node", "kind action next true false", defaults=(None,) * 4)):

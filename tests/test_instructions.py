@@ -10,6 +10,7 @@ from pga_mech import (
     Instruction,
     JumpResolution,
     PgaSyntaxError,
+    SearchBounds,
     TERMINATE,
     basic,
     bisimilar,
@@ -19,6 +20,8 @@ from pga_mech import (
     instruction_at,
     jump,
     jump_target,
+    make_prefix,
+    make_s,
     neg_test,
     parse_pga,
     pos_test,
@@ -202,6 +205,7 @@ _seqs = st.tuples(
 @settings(max_examples=200)
 def test_roundtrip(seq):
     assert parse_pga(print_pga(seq)) == seq
+    assert str(seq) == print_pga(seq)
 
 
 def test_instruction_at():
@@ -220,6 +224,16 @@ def test_instruction_field_checks():
             (("halt",), "unknown instruction kind 'halt'")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Instruction(*args)
+
+
+def test_action_names_are_checked_alike():
+    # instructions, thread nodes and search alphabets share one check, which
+    # raises the same error for a name that is not a string
+    entry_points = (basic, lambda a: make_prefix(a, make_s()), lambda a: SearchBounds(1, 0, (a,)))
+    for name in (5, b"a", "A"):
+        for make in entry_points:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'invalid action name {name!r}')}$"):
+                make(name)
 
 
 def test_negative_positions_are_rejected():

@@ -55,7 +55,7 @@ from pga_mech.instructions import (
     InstrSeq,
     instruction_at,
 )
-from pga_mech.search import _ShapeSearch, _allowed, _classes, _slot_options
+from pga_mech.search import _ShapeSearch, _classes, _slot_options
 from pga_mech.threads import D, POST, S
 
 from helpers import chain_witnesses, random_graph, random_seq, reference_pareto_front
@@ -654,7 +654,7 @@ def test_search_walk_is_pruned(monkeypatch):
 
 
 
-# every set of node facts ``_allowed`` and ``_classes`` take over {a, b}
+# every set of node facts ``_classes`` takes over {a, b}
 _NODE_FACTS = [(S, None, False, False, False), (D, None, False, False, False)] + [
     (POST, action, t_d, f_d, same) for action in ("a", "b")
     for t_d in (False, True) for f_d in (False, True) for same in (False, True)]
@@ -675,7 +675,7 @@ def test_search_option_classes_are_exact():
             for facts in _NODE_FACTS:
                 classes = _classes(n, m, s, *facts, alphabet)
                 members = [i for c in classes for i in c]
-                assert sorted(members) == list(_allowed(n, m, s, *facts, alphabet))
+                assert len(set(members)) == len(members)  # the classes are disjoint
                 assert all(list(c) == sorted(c) for c in classes)
                 assert [c[0] for c in classes] == sorted(c[0] for c in classes)
                 for c in set(classes) - checked:
@@ -780,12 +780,19 @@ def test_search_of_delay_free_target_needs_no_functional_abstraction(text, bound
     assert found
     assert found == search_implementations(minimize(functional_abstraction(p)), bounds)
 
+
+def _offered(n, m, s, kind, action=None, t_d=False, f_d=False, same=False, alphabet=("a",)):
+    """The options ``_classes`` offers for slot ``s`` of shape (n, m) at a
+    target node with the given facts, as text."""
+    options = _slot_options(n + m, alphabet)
+    return {str(options[i]) for c in _classes(n, m, s, kind, action, t_d, f_d, same, alphabet)
+            for i in c}
+
+
 def _allowed_actions(n, m, s, t_d, f_d, same):
-    """The action instructions ``_allowed`` offers for slot ``s`` of shape
+    """The action instructions ``_classes`` offers for slot ``s`` of shape
     (n, m) at a post node on ``a`` with the given successor facts."""
-    options = _slot_options(n + m, ("a",))
-    return {str(options[i]) for i in _allowed(n, m, s, POST, "a", t_d, f_d, same, ("a",))
-            if options[i].kind not in (JUMP, TERMINATION)}
+    return {text for text in _offered(n, m, s, POST, "a", t_d, f_d, same) if text[0] not in "#!"}
 
 
 def test_search_offers_only_fitting_actions():
@@ -804,6 +811,28 @@ def test_search_offers_only_fitting_actions():
     assert _allowed_actions(0, 1, 0, False, False, True) == {"a", "+a", "-a"}
     # in a two-slot cycle a test's replies reach both slots
     assert _allowed_actions(0, 2, 0, False, False, False) == {"+a", "-a"}
+
+
+def test_search_offers_only_jumps_that_move_on():
+    # away from D a jump must land on another slot: at slot 2 of a finite
+    # shape of 4, #0 deadlocks and #2 to #4 run off the end
+    assert _offered(4, 0, 2, S) == {"!", "#1"}
+    assert _offered(4, 0, 2, POST, "a", same=True) == {"a", "#1"}
+    # in the cycle of (1, 2), #2 from slot 1 comes back onto slot 1, while
+    # #3 wraps once more and lands on slot 2
+    assert _offered(1, 2, 1, S) == {"!", "#1", "#3"}
+    assert _offered(1, 2, 1, POST, "a", same=True) == {"a", "+a", "-a", "#1", "#3"}
+    # at D every jump is offered, and nothing else
+    assert _offered(4, 0, 2, D) == {"#0", "#1", "#2", "#3", "#4"}
+    assert _offered(1, 2, 1, D) == {"#0", "#1", "#2", "#3"}
+
+
+def test_search_offers_termination_only_at_s():
+    for n, m in ((4, 0), (1, 2), (0, 1), (2, 3)):
+        for s in range(n + m):
+            for facts in _NODE_FACTS:
+                offered = _offered(n, m, s, *facts, alphabet=("a", "b"))
+                assert ("!" in offered) == (facts[0] == S), (n, m, s, facts)
 
 
 def test_search_bounds_validation():

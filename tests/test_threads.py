@@ -212,6 +212,7 @@ def test_print_parse_roundtrip_random():
     for _ in range(200):
         g = random_graph(rng)
         assert parse_thread(print_thread(g)) == g
+        assert str(g) == print_thread(g)
 
 
 def test_bisimilar_examples():
