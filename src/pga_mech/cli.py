@@ -6,7 +6,9 @@ Exit codes: 0 success / relation holds, 1 relation does not hold,
 
 from __future__ import annotations
 
+import os
 import sys
+from collections.abc import Iterable
 from typing import NoReturn
 
 import click
@@ -36,15 +38,14 @@ from .search import (
 )
 from .threads import (
     POST,
-    ThreadGraph,
     ThreadSyntaxError,
+    _dot_chunks,
     _has_delay,
+    _json_chunks,
+    _thread_chunks,
     functional_abstraction,
     minimize as minimize_graph,
     parse_thread,
-    print_thread,
-    to_dot,
-    to_json,
 )
 
 
@@ -64,12 +65,31 @@ def _read(path: str) -> str:
         _fail(2, f"{path!r} is not UTF-8: {exc.reason} at offset {exc.start}")
 
 
-def _render(graph: ThreadGraph, fmt: str) -> str:
-    if fmt == "dot":
-        return to_dot(graph)
-    if fmt == "json":
-        return to_json(graph)
-    return print_thread(graph)
+_PIECE_ROWS = 1000  # nodes or results per piece of output
+
+# each ``extract --format``: its renderer's lines in lists of a given
+# number of nodes, and the separator that joins them
+_FORMATS = {"eqn": (_thread_chunks, "\n"), "dot": (_dot_chunks, "\n"), "json": (_json_chunks, ", ")}
+
+
+def _echo_chunks(chunks: Iterable[list[str]], sep: str) -> None:
+    """Write ``sep.join`` of the lines in ``chunks``, then a newline, to
+    stdout, one piece per nonempty list, so that no command holds its
+    whole output.  A reader that closes the pipe early ends the output
+    with exit status 0 and nothing on stderr: stdout is pointed at the
+    null device, so that the interpreter's final flush has nowhere to
+    fail."""
+    try:
+        lead = ""
+        for lines in chunks:
+            if lines:
+                click.echo(lead + sep.join(lines), nl=False)
+                lead = sep
+        click.echo()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 class _Main(click.Group):
@@ -107,7 +127,8 @@ def cmd_extract(mode, pga_text, path, fmt, do_minimize) -> None:
     graph = extract_functional(seq) if mode == "functional" else extract_mechanistic(seq)
     if do_minimize:
         graph = minimize_graph(graph)
-    click.echo(_render(graph, fmt))
+    chunks, sep = _FORMATS[fmt]
+    _echo_chunks(chunks(graph, _PIECE_ROWS), sep)
 
 
 @main.command("compare")
@@ -220,7 +241,8 @@ def cmd_search(thread_path, max_prefix, max_cycle, alphabet, pareto, max_candida
     if pareto:
         results = pareto_front(results)
     if results:
-        click.echo("\n".join(map(print_pga, results)))
+        _echo_chunks((list(map(print_pga, results[i:i + _PIECE_ROWS]))
+                      for i in range(0, len(results), _PIECE_ROWS)), "\n")
 
 
 if __name__ == "__main__":

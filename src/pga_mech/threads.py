@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .instructions import _NAME, _check_action
 
@@ -529,45 +530,108 @@ def _rejected(segment: str, lineno: int, index: dict[str, int], rows: list) -> T
     return ThreadSyntaxError(f"cannot parse right-hand side {rhs!r}", lineno)
 
 
+# Each format has one implementation: a generator of its text's lines
+# (entries, in json) in lists of ``size`` nodes, which one separator
+# joins into the text.  The public renderer asks for one list and joins
+# it once; the CLI writes lists of a fixed number of nodes one by one, so
+# that it never holds the whole text.
+
+
+def _spans(names: list[str], rows: list, size: int) -> Iterator[zip]:
+    """``zip(names, rows)`` in runs of ``size`` rows."""
+    if size >= len(rows):
+        yield zip(names, rows)  # one run: no copy of the lists
+        return
+    for start in range(0, len(rows), size):
+        yield zip(names[start:start + size], rows[start:start + size])
+
+
+def _numbered(prefix: str, n: int) -> list[str]:
+    """``[f"{prefix}{i}" for i in range(n)]``, built without formatting a
+    number: the string of i >= 10 is that of i // 10 and i's last digit,
+    one concatenation each, which costs about half of formatting i."""
+    digits = "0123456789"
+    out = [prefix + d for d in digits][:n]
+    lo = 1  # out[lo:] are the strings that the next digit extends
+    while len(out) < n:
+        hi = len(out)
+        stop = min(hi, lo + (n - hi + 9) // 10)
+        out += [s + d for s in out[lo:stop] for d in digits]
+        lo = hi
+    del out[n:]
+    return out
+
+
+def _joined(chunks: Iterable[list[str]], sep: str) -> str:
+    """``sep.join`` of all the lines in ``chunks``."""
+    lines = []
+    for chunk in chunks:
+        lines += chunk
+    return sep.join(lines)
+
+
+def _thread_chunks(g: ThreadGraph, size: int) -> Iterator[list[str]]:
+    """The lines of ``print_thread(g)`` in lists of ``size`` nodes.  Each
+    node's name is built once, and an edge reads it by the node's id."""
+    rows = g._rows
+    names = _numbered("T", len(rows))
+    for span in _spans(names, rows, size):
+        lines = []
+        for name, (kind, action, nxt, t, f) in span:
+            if kind == POST:
+                lines.append(f"{name} = {action} ? {names[t]} : {names[f]}")
+            elif kind == DELAY:
+                lines.append(f"{name} = sigma({names[nxt]})")
+            else:
+                lines.append(f"{name} = {kind}")
+        yield lines
+
+
 def print_thread(g: ThreadGraph) -> str:
     """Render equations, one per node in graph order; round-trips with
-    ``parse_thread`` up to node naming.  Each node's name is formatted
-    once, and an edge reads it by the node's id."""
-    rows = g._rows
-    names = [f"T{i}" for i in range(len(rows))]
-    lines = []
-    for name, (kind, action, nxt, t, f) in zip(names, rows):
-        if kind == POST:
-            lines.append(f"{name} = {action} ? {names[t]} : {names[f]}")
-        elif kind == DELAY:
-            lines.append(f"{name} = sigma({names[nxt]})")
-        else:
-            lines.append(f"{name} = {kind}")
-    return "\n".join(lines)
+    ``parse_thread`` up to node naming.  The CLI writes the same text in
+    pieces, which concatenate to ``print_thread(g)``."""
+    return _joined(_thread_chunks(g, len(g._rows)), "\n")
 
 
 # --- exports ----------------------------------------------------------------
 
+def _dot_chunks(g: ThreadGraph, size: int) -> Iterator[list[str]]:
+    """The lines of ``to_dot(g)``: the first line, the node lines in lists
+    of ``size`` nodes, then their edge lines in lists of the edges of
+    ``size`` nodes, then the last line.  Each node's name is built
+    once, and an edge reads it by the node's id; a post's two edge lines
+    are one string."""
+    rows = g._rows
+    names = _numbered("n", len(rows))
+    yield ["digraph thread {"]
+    for span in _spans(names, rows, size):
+        heads = []
+        for name, (kind, action, _, _, _) in span:
+            if kind == POST:
+                heads.append(f'  {name} [label="{action}"];')
+            elif kind == DELAY:
+                heads.append(f'  {name} [label="σ"];')
+            else:
+                heads.append(f'  {name} [label="{kind}", shape=box];')
+        yield heads
+    for span in _spans(names, rows, size):
+        edges = []
+        for name, (kind, _, nxt, t, f) in span:
+            if kind == POST:
+                edges.append(f"  {name} -> {names[t]} [style=solid];\n"
+                             f"  {name} -> {names[f]} [style=dashed];")
+            elif kind == DELAY:
+                edges.append(f"  {name} -> {names[nxt]};")
+        yield edges
+    yield ["}"]
+
+
 def to_dot(g: ThreadGraph) -> str:
     """DOT digraph: solid edge = true branch, dashed edge = false branch.
-    Each node's name is formatted once, and an edge reads it by the node's
-    id; a post's two edge lines are one string."""
-    # one walk: the node lines, then the edge lines
-    rows = g._rows
-    names = [f"n{i}" for i in range(len(rows))]
-    heads, edges = ["digraph thread {"], []
-    for name, (kind, action, nxt, t, f) in zip(names, rows):
-        if kind == POST:
-            heads.append(f'  {name} [label="{action}"];')
-            edges.append(f"  {name} -> {names[t]} [style=solid];\n"
-                         f"  {name} -> {names[f]} [style=dashed];")
-        elif kind == DELAY:
-            heads.append(f'  {name} [label="σ"];')
-            edges.append(f"  {name} -> {names[nxt]};")
-        else:
-            heads.append(f'  {name} [label="{kind}", shape=box];')
-    edges.append("}")
-    return "\n".join(heads + edges)
+    The CLI writes the same text in pieces, which concatenate to
+    ``to_dot(g)``."""
+    return _joined(_dot_chunks(g, len(g._rows)), "\n")
 
 
 def graph_to_dict(g: ThreadGraph) -> dict:
@@ -583,19 +647,33 @@ def graph_to_dict(g: ThreadGraph) -> dict:
     return {"root": g.root, "nodes": nodes}
 
 
-def to_json(g: ThreadGraph) -> str:
-    """``json.dumps(graph_to_dict(g))``, written directly: kinds are fixed
-    words and action names need no escaping.  Each id is formatted once,
+def _json_chunks(g: ThreadGraph, size: int) -> Iterator[list[str]]:
+    """The parts of ``to_json(g)`` that ``", "`` joins, in lists of
+    ``size`` nodes: one entry per node, the first led by the object's
+    opening and the last followed by its close.  Each id is built once,
     and an edge reads it by the node's id."""
     rows = g._rows
-    ids = list(map(str, range(len(rows))))
-    entries = []
-    for i, (kind, action, nxt, t, f) in zip(ids, rows):
-        if kind == POST:
-            entries.append(f'{{"id": {i}, "kind": "post", "action": "{action}", '
-                           f'"true": {ids[t]}, "false": {ids[f]}}}')
-        elif kind == DELAY:
-            entries.append(f'{{"id": {i}, "kind": "delay", "next": {ids[nxt]}}}')
-        else:
-            entries.append(f'{{"id": {i}, "kind": "{kind}"}}')
-    return f'{{"root": {g.root}, "nodes": [{", ".join(entries)}]}}'
+    ids = _numbered("", len(rows))
+    opening, left = f'{{"root": {g.root}, "nodes": [', len(rows)
+    for span in _spans(ids, rows, size):
+        entries = []
+        for i, (kind, action, nxt, t, f) in span:
+            if kind == POST:
+                entries.append(f'{{"id": {i}, "kind": "post", "action": "{action}", '
+                               f'"true": {ids[t]}, "false": {ids[f]}}}')
+            elif kind == DELAY:
+                entries.append(f'{{"id": {i}, "kind": "delay", "next": {ids[nxt]}}}')
+            else:
+                entries.append(f'{{"id": {i}, "kind": "{kind}"}}')
+        entries[0] = opening + entries[0]
+        opening, left = "", left - len(entries)
+        if not left:
+            entries[-1] += "]}"
+        yield entries
+
+
+def to_json(g: ThreadGraph) -> str:
+    """``json.dumps(graph_to_dict(g))``, written directly: kinds are fixed
+    words and action names need no escaping.  The CLI writes the same
+    text in pieces, which concatenate to ``to_json(g)``."""
+    return _joined(_json_chunks(g, len(g._rows)), ", ")

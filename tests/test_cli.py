@@ -1,13 +1,53 @@
+import contextlib
 import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 
 from click.testing import CliRunner
 
-from pga_mech import neg_test, rewrites
-from pga_mech.cli import main
+import pga_mech
+from pga_mech import (
+    SearchBounds,
+    extract_mechanistic,
+    neg_test,
+    parse_pga,
+    parse_thread,
+    print_pga,
+    print_thread,
+    rewrites,
+    search_implementations,
+    to_dot,
+    to_json,
+)
+from pga_mech.cli import _FORMATS, _PIECE_ROWS, _echo_chunks, main
+
+_RENDERERS = {"eqn": print_thread, "dot": to_dot, "json": to_json}
 
 
 def run(*args, **kwargs):
     return CliRunner().invoke(main, list(args), **kwargs)
+
+
+def dense_text(seed: int, count: int) -> str:
+    """A seeded sequence of about ``count`` instructions whose positions
+    are mostly reachable: an S and a D branch first, then actions, tests
+    and short jumps, with a cycle of nine tenths of them."""
+    rng = random.Random(seed)
+    tokens = [rng.choice(("a", "b", "+a", "-b", "#2", "#3")) for _ in range(count)]
+    k = count // 10
+    return f"+a;!;+b;#0;{';'.join(tokens[:k])};({';'.join(tokens[k:])})^w"
+
+
+def assert_same_text(got: str, want: str, label) -> None:
+    """``got == want``; a mismatch names the first differing character
+    rather than have pytest diff texts of a megabyte."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        raise AssertionError(f"{label}: the texts differ at character {i}: "
+                             f"{got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}")
 
 
 def test_extract_mechanistic_eqn():
@@ -48,6 +88,75 @@ def test_extract_json_and_dot():
     assert payload["root"] == 0 and payload["nodes"][0]["kind"] == "delay"
     result = run("extract", "--mechanistic", "--pga", "(#1;a)^w", "--format", "dot")
     assert result.stdout.startswith("digraph")
+
+
+def test_extract_prints_every_piece():
+    # the CLI writes the renderers' pieces one by one: the bytes across
+    # piece boundaries must be the renderer's string and one newline
+    long = dense_text(5, 4_000)
+    assert len(extract_mechanistic(parse_pga(long))) > 2 * _PIECE_ROWS
+    short = dense_text(6, 2_200)
+    # each leading action adds one node
+    exact = "a;" * (-len(extract_mechanistic(parse_pga(short))) % _PIECE_ROWS) + short
+    assert len(extract_mechanistic(parse_pga(exact))) == 2 * _PIECE_ROWS
+    for text in (long, exact):
+        g = extract_mechanistic(parse_pga(text))
+        for fmt, render in _RENDERERS.items():
+            result = run("extract", "--mechanistic", "--pga", text, "--format", fmt)
+            assert result.exit_code == 0
+            assert_same_text(result.stdout, render(g) + "\n", fmt)
+
+
+def test_pieces_of_any_size_join_to_the_renderer(capsys):
+    # a complete tree of posts over eight S leaves: in dot, a span of
+    # leaves has no edge lines, and its empty list adds no separator;
+    # sizes 1 and 7 leave a last span of one node
+    eqs = [f"N{i} = a ? N{2 * i} : N{2 * i + 1}" for i in range(1, 8)]
+    g = parse_thread("\n".join(eqs + [f"N{i} = S" for i in range(8, 16)]))
+    for fmt, render in _RENDERERS.items():
+        chunks, sep = _FORMATS[fmt]
+        for size in (1, 4, 7, 15, 16):
+            _echo_chunks(chunks(g, size), sep)
+            assert_same_text(capsys.readouterr().out, render(g) + "\n", (fmt, size))
+
+
+def test_extract_memory_is_that_of_extraction():
+    # written piece by piece, the output costs no copy of the whole text:
+    # the command's peak stays near that of parsing and extracting alone
+    text = dense_text(7, 20_000)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = peak(lambda: extract_mechanistic(parse_pga(text)))
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        main(["extract", "--mechanistic", "--pga", "a;!"], standalone_mode=False)
+        for fmt in _RENDERERS:
+            args = ["extract", "--mechanistic", "--pga", text, "--format", fmt]
+            used = peak(lambda: main(args, standalone_mode=False))
+            assert used < 1.5 * base, (fmt, used, base)
+
+
+def test_extract_to_closed_pipe_exits_0(tmp_path):
+    # a reader that stops early, as ``| head -n 1`` does, is not a failure
+    path = tmp_path / "big.pga"
+    path.write_text(dense_text(7, 20_000))
+    src = os.path.dirname(os.path.dirname(pga_mech.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen([sys.executable, "-m", "pga_mech.cli", "extract", "--mechanistic",
+                             "--file", str(path), "--format", "dot"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"digraph thread {\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_extract_minimize():
@@ -233,6 +342,22 @@ def test_search_pareto_loose_target(tmp_path):
     lines = result.stdout.split("\n")[:-1]
     assert len(lines) == 10801
     assert lines[0] == "!"
+
+
+def test_search_prints_every_piece(tmp_path):
+    path = tmp_path / "p.thread"
+    path.write_text("P = S\n")
+    results = search_implementations(parse_thread("P = S"), SearchBounds(4, 0, ("a",)))
+    assert len(results) > _PIECE_ROWS
+    result = run("search", "--thread-file", str(path), "--max-prefix", "4",
+                 "--max-cycle", "0", "--alphabet", "a")
+    assert result.exit_code == 0
+    assert_same_text(result.stdout, "\n".join(map(print_pga, results)) + "\n", "search")
+    path.write_text("P = a . P\n")
+    result = run("search", "--thread-file", str(path), "--max-prefix", "2",
+                 "--max-cycle", "0", "--alphabet", "a")
+    assert result.exit_code == 0
+    assert result.stdout == ""
 
 
 def test_search_budget_exit_2(tmp_path):

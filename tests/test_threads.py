@@ -23,7 +23,7 @@ from pga_mech import (
     to_dot,
     to_json,
 )
-from pga_mech.threads import D, DELAY, Node, POST, S, ThreadGraph
+from pga_mech.threads import D, DELAY, Node, POST, S, ThreadGraph, _numbered
 
 from helpers import random_graph, random_seq, reference_parse_thread, reference_to_dot
 
@@ -198,6 +198,14 @@ def test_parse_thread_matches_reference():
         assert _parsed(parse_thread, text) == expected, text
         valid += isinstance(expected[0], Node)
     assert 4_000 < valid < 16_000
+
+
+def test_numbered_names_match_formatted_ones():
+    # the renderers' names extend shorter names by a digit; each count
+    # around a power of ten ends inside, or just past, a run of ten
+    for n in [*range(0, 23), 99, 100, 101, 109, 110, 999, 1000, 1001, 10_009]:
+        assert _numbered("T", n) == [f"T{i}" for i in range(n)], n
+        assert _numbered("", n) == list(map(str, range(n))), n
 
 
 def test_print_thread_examples():
