@@ -75,17 +75,22 @@ _FORMATS = {"eqn": (_thread_chunks, "\n"), "dot": (_dot_chunks, "\n"), "json": (
 def _echo_chunks(chunks: Iterable[list[str]], sep: str) -> None:
     """Write ``sep.join`` of the lines in ``chunks``, then a newline, to
     stdout, one piece per nonempty list, so that no command holds its
-    whole output.  A reader that closes the pipe early ends the output
-    with exit status 0 and nothing on stderr: stdout is pointed at the
-    null device, so that the interpreter's final flush has nowhere to
-    fail."""
+    whole output.  The pieces go straight to the stream that ``click.echo``
+    writes to, without its pass that strips ANSI codes: an action name
+    holds no escape character, so no output of this module can.  A reader
+    that closes the pipe early ends the output with exit status 0 and
+    nothing on stderr: stdout is pointed at the null device, so that the
+    interpreter's final flush has nowhere to fail."""
     try:
+        out = click.get_text_stream("stdout")
         lead = ""
         for lines in chunks:
             if lines:
-                click.echo(lead + sep.join(lines), nl=False)
+                out.write(lead)
+                out.write(sep.join(lines))
                 lead = sep
-        click.echo()
+        out.write("\n")
+        out.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

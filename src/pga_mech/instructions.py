@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 __all__ = [
     "BASIC",
@@ -237,6 +238,21 @@ _PIECE_BUILD = (None, lambda _: TERMINATE, lambda digits: _unchecked(JUMP, count
                 lambda action: _unchecked(NEG_TEST, action),
                 lambda action: _unchecked(BASIC, action))
 _TAIL_RE = re.compile(r"\s*\^\s*(?:w|ω)\s*\Z")
+_PIECES_KEPT = 4096  # the most spellings whose instructions the process keeps
+
+
+@lru_cache(maxsize=_PIECES_KEPT)
+def _piece_instruction(piece: str) -> Instruction:
+    """The instruction of the ``;``-piece ``piece``, exactly as written,
+    whitespace included; it is matched and built once per process while it
+    stays among the last ``_PIECES_KEPT`` spellings used.  A piece that
+    holds no single instruction raises ``KeyError``, which the cache does
+    not keep."""
+    match = _PIECE_RE.match(piece)
+    if match is None:
+        raise KeyError(piece)
+    group = match.lastindex
+    return _PIECE_BUILD[group](match[group])
 
 
 def parse_pga(text: str) -> InstrSeq:
@@ -248,10 +264,13 @@ def parse_pga(text: str) -> InstrSeq:
     ``(``, ``)``, ``^`` and ``w``/``ω`` but may not split a token.
 
     The text is cut at its first ``(``, its last ``)`` and every ``;``, and
-    each distinct piece is checked once and its instruction built once,
-    unchecked, since the piece's pattern has checked the action name and
-    the digits.  Only when a check fails does the token walk read the text,
-    to raise the error with its line and column.
+    each piece's instruction is taken from a process-wide memo of
+    spellings, so a spelling is checked and built once, not once per call.
+    Instructions are therefore shared: equal spellings give the same
+    object, within one sequence and across calls, so ``is`` may hold
+    between instructions of different sequences; equality is unchanged.
+    Only when a check fails does the token walk read the text, to raise
+    the error with its line and column.
     """
     head, paren, rest = text.partition("(")
     pieces = head.split(";")
@@ -263,14 +282,10 @@ def parse_pga(text: str) -> InstrSeq:
             return _parse_tokens(text)
         n -= 1
         pieces += body.split(";")
-    built = {}
-    for piece in set(pieces):
-        match = _PIECE_RE.match(piece)
-        if match is None:
-            return _parse_tokens(text)
-        group = match.lastindex
-        built[piece] = _PIECE_BUILD[group](match[group])
-    code = tuple(map(built.__getitem__, pieces))
+    try:
+        code = tuple(map(_piece_instruction, pieces))
+    except KeyError:
+        return _parse_tokens(text)
     # no piece is empty, so a cycle is nonempty and so is a sequence
     return InstrSeq._trusted(code[:n], code[n:] if paren else None)
 

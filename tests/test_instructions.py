@@ -28,7 +28,15 @@ from pga_mech import (
     print_pga,
     reachable_positions,
 )
-from pga_mech.instructions import BASIC, JUMP, POS_TEST, TERMINATION, _parse_tokens
+from pga_mech.instructions import (
+    BASIC,
+    JUMP,
+    POS_TEST,
+    TERMINATION,
+    _PIECES_KEPT,
+    _parse_tokens,
+    _piece_instruction,
+)
 
 from helpers import random_seq
 
@@ -144,15 +152,42 @@ def _outcome(parse, text):
 
 def test_parse_matches_token_walk():
     # the piece-wise parser must accept exactly what the token walk accepts,
-    # build the same sequence, and leave every error to the token walk
-    rng = random.Random(1303)
-    valid = 0
-    for _ in range(20_000):
-        text = _soup_text(rng)
-        expected = _outcome(_parse_tokens, text)
-        assert _outcome(parse_pga, text) == expected, text
-        valid += isinstance(expected, InstrSeq)
-    assert 5_000 < valid < 15_000
+    # build the same sequence, and leave every error to the token walk; the
+    # corpus runs twice, once with an empty memo of spellings and once with
+    # the memo that the first pass left
+    _piece_instruction.cache_clear()
+    for _ in range(2):
+        rng = random.Random(1303)
+        valid = 0
+        for _ in range(20_000):
+            text = _soup_text(rng)
+            expected = _outcome(_parse_tokens, text)
+            assert _outcome(parse_pga, text) == expected, text
+            valid += isinstance(expected, InstrSeq)
+        assert 5_000 < valid < 15_000
+
+
+def test_parse_memo_stays_within_its_bound():
+    # more distinct spellings than the memo keeps: the sequence is still
+    # the token walk's, and the memo holds no more than its bound
+    text = ";".join(f"#{k}" for k in range(_PIECES_KEPT + 905))
+    assert parse_pga(text) == _parse_tokens(text)
+    assert _piece_instruction.cache_info().currsize <= _PIECES_KEPT
+
+
+def test_parse_memo_keeps_no_rejected_piece():
+    _piece_instruction.cache_clear()
+    for text, column in (("a; + b", 4), ("a; + b", 4), ("c;d;(a; + b)^w", 9)):
+        with pytest.raises(PgaSyntaxError) as exc:
+            parse_pga(text)
+        assert str(exc.value) == f"expected action name after '+' at line 1, column {column}"
+    # only the valid pieces "a", "c" and "d" were kept
+    assert _piece_instruction.cache_info().currsize == 3
+
+
+def test_parse_shares_instructions_across_calls():
+    # a spelling's instruction is built once per process, not once per call
+    assert parse_pga("a;b").prefix[0] is parse_pga("c;a").prefix[1]
 
 
 def test_parse_memory_is_linear_and_small():

@@ -23,11 +23,15 @@ and ``improves`` on ``#1;(a¹⁰⁰⁰)^w`` against ``(a¹⁰⁰¹)^w``, where t
 delay on the root edge decides "no" but the cores pair up a million
 ways.  And for ``improve_step`` from the 259-instruction member of the
 ``(+a;#4;+b;#4;!)^w`` chain, whose 128 candidates each cost a full product
-walk when none stops early.  And for the per-node layers of ``extract``
-on a dense sequence of 10⁴ instructions: both extractions, ``minimize``,
-the three renderers and ``parse_thread`` of the printed equations, each
-linear or near it, so a budget of a second catches a quadratic pass, not
-noise."""
+walk when none stops early.  And for ``unchain`` and ``improve_step`` on
+``(+a;#1;#1)²⁵⁰;!``, where each of the 250 steps finds its site by a
+scan from the first position and extracts the whole after-sequence to
+verify itself, so the rewrites are quadratic in their sites; the budgets
+hold that cost until the rewrites become linear.  And for the per-node
+layers of ``extract`` on a dense sequence of 10⁴ instructions: both
+extractions, ``minimize``, the three renderers and ``parse_thread`` of the
+printed equations, each linear or near it, so a budget of a second catches
+a quadratic pass, not noise."""
 
 import random
 import time
@@ -56,6 +60,7 @@ from pga_mech import (
     search_implementations,
     to_dot,
     to_json,
+    unchain,
 )
 
 BUDGET_S = 1.0
@@ -119,6 +124,18 @@ def test_improve_step_from_chain_member_of_259():
     better, step = _timed(improve_step, seq)
     assert print_pga(better) == _chain_member(255)
     assert step.evidence is ComparisonVerdict.STRICTLY_IMPROVES
+
+
+def test_unchain_and_improve_step_on_250_chained_jumps():
+    seq = parse_pga(";".join(["+a;#1;#1"] * 250 + ["!"]))
+    unchained = ";".join(["+a;#2;#1"] * 250 + ["!"])
+    out, steps = _timed(unchain, seq, budget=2.0)
+    assert print_pga(out) == unchained
+    assert len(steps) == 250
+    assert all(s.rule == "unchain" and s.evidence is ComparisonVerdict.STRICTLY_IMPROVES
+               for s in steps)
+    better, step = _timed(improve_step, seq)
+    assert step.rule == "unchain" and print_pga(better) == unchained
 
 
 def test_search_branching_target_at_6_and_7():
