@@ -11,9 +11,10 @@ landing on the same cycle slot are interchangeable, and
 from __future__ import annotations
 
 import re
+import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 __all__ = [
     "BASIC",
@@ -55,6 +56,20 @@ def _check_action(action) -> None:
         raise ValueError(f"invalid action name {action!r}")
 
 
+# CPython's limit on the digits of an int that ``str`` prints and ``int``
+# reads, global to the process; 0, or no such setting, means no limit
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _check_counter(counter: int) -> None:
+    """Raise ``ValueError`` if ``str`` cannot print ``counter`` under the
+    process's current limit on the digits of an int."""
+    limit = _int_max_str_digits()
+    # fewer than 3 * limit bits make fewer than limit digits: 8**limit < 10**limit
+    if limit and counter.bit_length() > 3 * limit and counter >= 10 ** limit:
+        raise ValueError(f"jump counter has more than {limit} digits")
+
+
 class PgaSyntaxError(ValueError):
     """Malformed instruction-sequence text."""
 
@@ -86,8 +101,9 @@ class Instruction:
         elif self.kind == JUMP:
             if self.action is not None:
                 raise ValueError("jumps carry no action")
-            if self.counter is None or self.counter < 0:
+            if not isinstance(self.counter, int) or self.counter < 0:
                 raise ValueError("jump counter must be a natural number")
+            _check_counter(self.counter)
         elif self.kind == TERMINATION:
             if self.action is not None or self.counter is not None:
                 raise ValueError("termination carries no payload")
@@ -228,31 +244,62 @@ def _unchecked(kind: str, action: str | None = None, counter: int | None = None)
     return ins
 
 
-# one ``;``-piece of the text that holds exactly one instruction, one group
-# per kind; per group, the piece's instruction from that group's text,
-# built unchecked, since the pattern has checked the action name and the
-# digits; and what may follow the ``)`` that closes the repetition group
-_PIECE_RE = re.compile(rf"\s*(?:(!)|#([0-9]+)|\+({_NAME})|-({_NAME})|({_NAME}))\s*\Z")
+# one ``;``-piece of the text, stripped, that holds exactly one
+# instruction, one group per kind; per group, the piece's instruction from
+# that group's text, built unchecked, since the pattern has checked the
+# action name and the digits; and what may follow the ``)`` that closes
+# the repetition group
+_PIECE_RE = re.compile(rf"(?:(!)|#([0-9]+)|\+({_NAME})|-({_NAME})|({_NAME}))\Z")
 _PIECE_BUILD = (None, lambda _: TERMINATE, lambda digits: _unchecked(JUMP, counter=int(digits)),
                 lambda action: _unchecked(POS_TEST, action),
                 lambda action: _unchecked(NEG_TEST, action),
                 lambda action: _unchecked(BASIC, action))
 _TAIL_RE = re.compile(r"\s*\^\s*(?:w|ω)\s*\Z")
 _PIECES_KEPT = 4096  # the most spellings whose instructions the process keeps
+_PIECE_KEPT_LEN = 64  # the longest spelling kept
+# the instruction of each ``;``-piece spelling kept, as written, whitespace
+# included, and stripped; emptied when it reaches ``_PIECES_KEPT`` entries.
+# Reads take no lock; the lock keeps the bound when threads add at once
+_pieces: dict[str, Instruction] = {}
+_pieces_lock = threading.Lock()
 
 
-@lru_cache(maxsize=_PIECES_KEPT)
-def _piece_instruction(piece: str) -> Instruction:
-    """The instruction of the ``;``-piece ``piece``, exactly as written,
-    whitespace included; it is matched and built once per process while it
-    stays among the last ``_PIECES_KEPT`` spellings used.  A piece that
-    holds no single instruction raises ``KeyError``, which the cache does
-    not keep."""
-    match = _PIECE_RE.match(piece)
-    if match is None:
-        raise KeyError(piece)
-    group = match.lastindex
-    return _PIECE_BUILD[group](match[group])
+def _keep(piece: str, ins: Instruction) -> None:
+    """Keep ``ins`` as the instruction of ``piece`` unless ``piece`` is too
+    long to keep; a full memo is emptied first."""
+    if len(piece) <= _PIECE_KEPT_LEN:
+        with _pieces_lock:
+            if len(_pieces) >= _PIECES_KEPT:
+                _pieces.clear()
+            _pieces[piece] = ins
+
+
+def _piece_instructions(pieces: list[str]) -> tuple[Instruction, ...] | None:
+    """The instruction of each of ``pieces``, or None if one of them holds
+    no single instruction.  A piece missing from the memo is built from
+    its stripped spelling, taken from the memo when that is kept, and both
+    spellings are kept, each if it is short enough; a rejected piece is
+    never kept."""
+    code = []
+    for piece in pieces:
+        ins = _pieces.get(piece)
+        if ins is None:
+            spelling = piece.strip()
+            ins = _pieces.get(spelling)
+            if ins is None:
+                match = _PIECE_RE.match(spelling)
+                if match is None:
+                    return None
+                group = match.lastindex
+                try:
+                    ins = _PIECE_BUILD[group](match[group])
+                except ValueError:  # a counter with more digits than ``int`` reads
+                    return None
+                _keep(spelling, ins)
+            if spelling is not piece:
+                _keep(piece, ins)
+        code.append(ins)
+    return tuple(code)
 
 
 def parse_pga(text: str) -> InstrSeq:
@@ -266,11 +313,17 @@ def parse_pga(text: str) -> InstrSeq:
     The text is cut at its first ``(``, its last ``)`` and every ``;``, and
     each piece's instruction is taken from a process-wide memo of
     spellings, so a spelling is checked and built once, not once per call.
-    Instructions are therefore shared: equal spellings give the same
-    object, within one sequence and across calls, so ``is`` may hold
-    between instructions of different sequences; equality is unchanged.
-    Only when a check fails does the token walk read the text, to raise
-    the error with its line and column.
+    The memo is one plain dict, bounded: it keeps pieces of at most 64
+    characters, both as written and stripped of whitespace, and it is
+    emptied when it reaches ``_PIECES_KEPT`` spellings.  A longer piece is
+    built on each call from its stripped spelling, so padding or a long
+    action name does not outlive the sequence.  Instructions are therefore
+    shared: equal kept spellings give the same object, within one sequence
+    and across calls until the memo is emptied, so ``is`` may hold between
+    instructions of different sequences; equality is unchanged.  Only when
+    a piece holds no instruction, a jump counter too long for ``int``
+    included, does the token walk read the text, to raise the error with
+    its line and column.
     """
     head, paren, rest = text.partition("(")
     pieces = head.split(";")
@@ -283,9 +336,11 @@ def parse_pga(text: str) -> InstrSeq:
         n -= 1
         pieces += body.split(";")
     try:
-        code = tuple(map(_piece_instruction, pieces))
+        code = tuple(map(_pieces.__getitem__, pieces))
     except KeyError:
-        return _parse_tokens(text)
+        code = _piece_instructions(pieces)
+        if code is None:
+            return _parse_tokens(text)
     # no piece is empty, so a cycle is nonempty and so is a sequence
     return InstrSeq._trusted(code[:n], code[n:] if paren else None)
 
@@ -313,7 +368,10 @@ def _parse_tokens(text: str) -> InstrSeq:
         if ins is None:
             if kind not in _BUILD:
                 raise error("expected instruction")
-            ins = built[kind, value] = _BUILD[kind](value)
+            try:
+                ins = built[kind, value] = _BUILD[kind](value)
+            except ValueError:  # only a jump's digits can fail here
+                raise error("jump counter too long") from None
         pos += 1
         return ins
 

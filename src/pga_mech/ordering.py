@@ -77,6 +77,7 @@ def _walk_resolutions(pr, qr, stop: int = _FUNCTIONAL) -> list[bool]:
     prows, pres = pr
     qrows, qres = qr
     d_id = len(prows) - 1
+    width = len(qrows)  # the pair (a, b) is seen as the key a * width + b
     flags = [True, True, True, True]
     seen = set()
     stack = [(0, 0)]  # edges, as the pairs of nodes they enter
@@ -90,9 +91,10 @@ def _walk_resolutions(pr, qr, stop: int = _FUNCTIONAL) -> list[bool]:
                 flags[_FORWARD if dp > dq else _BACKWARD] = False
             if not flags[stop]:
                 return flags
-        if (a, b) in seen:
+        key = a * width + b
+        if key in seen:
             continue
-        seen.add((a, b))
+        seen.add(key)
         kind, action, _, pt, pf = prows[a]
         qkind, qaction, _, qt, qf = qrows[b]
         if kind != qkind or action != qaction:

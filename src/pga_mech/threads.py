@@ -24,6 +24,13 @@ extraction builds them.  ``minimize`` refines only the cores of the delay
 resolution (S, post and one shared D node): a delay node's class is the
 key (its delay count, its core's block), so it costs two linear passes
 plus O(c log c) for the c cores.
+
+The delay resolution, which every relation and ``minimize`` read, is one
+pass over the rows in reverse id order: a delay whose successor has a
+larger id, as on every forward chain of jumps, reads its successor's
+finished entry.  Only the delays that pass defers, those whose successor
+has a smaller id or was deferred itself (back edges and delay loops), are
+resolved by a walk along their trail, which visits each of them once.
 """
 
 from __future__ import annotations
@@ -373,15 +380,32 @@ def minimize(g: ThreadGraph) -> ThreadGraph:
 def _delay_resolution(g: ThreadGraph) -> tuple[tuple[tuple, ...], list[tuple[int, int]]]:
     """The rows of ``g`` plus the shared D node's, and for each of those
     nodes the number of delays before the first S or post node on its
-    delay chain and that node's id.  A divergent chain resolves to the shared D node,
-    id ``len(g)``, with its divergence signature for a count: the number
-    of delays into D, or -1 on a delay loop."""
+    delay chain and that node's id.  A divergent chain resolves to the
+    shared D node, id ``len(g)``, with its divergence signature for a
+    count: the number of delays into D, or -1 on a delay loop.
+
+    One pass in reverse id order resolves every node but the delays whose
+    successor has a smaller id or was itself deferred; the trail walk
+    resolves those, each once, so the cost is linear in the nodes."""
     rows = g._rows
     d_id = len(rows)
-    out: list = [None if kind == DELAY else (0, d_id) if kind == D else (0, i)
-                 for i, (kind, _, _, _, _) in enumerate(rows)]
-    for start in range(d_id):
-        if out[start] is not None:
+    dead, loop = (0, d_id), (-1, d_id)
+    out: list = [None] * d_id
+    deferred = []
+    i = d_id
+    for kind, _, nxt, _, _ in reversed(rows):
+        i -= 1
+        if kind != DELAY:
+            out[i] = dead if kind == D else (0, i)
+        elif (entry := out[nxt]) is not None:
+            # a successor with a smaller id is not resolved yet, and no
+            # delay loop is resolved in this pass, so the count is >= 0
+            count, core = entry
+            out[i] = (count + 1, core)
+        else:
+            deferred.append(i)
+    for start in deferred:
+        if out[start] is not None:  # on the trail of a delay deferred before
             continue
         # each trail node is marked a delay loop before it is followed, so
         # a chain that loops back onto its own trail stays one
@@ -389,14 +413,14 @@ def _delay_resolution(g: ThreadGraph) -> tuple[tuple[tuple, ...], list[tuple[int
         i = start
         while out[i] is None:
             trail.append(i)
-            out[i] = (-1, d_id)
+            out[i] = loop
             i = rows[i][2]
         count, core = out[i]
         if count >= 0:
             for j in reversed(trail):
                 count += 1
                 out[j] = (count, core)
-    out.append((0, d_id))
+    out.append(dead)
     return rows + (_D_ROW,), out
 
 

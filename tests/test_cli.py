@@ -77,6 +77,20 @@ def test_extract_non_ascii_exit_2():
         assert result.stderr.endswith(f" at line 1, column {column}\n"), result.stderr
 
 
+def test_overlong_jump_counter_exit_2():
+    # a counter that ``int`` cannot read is a located syntax error, not a
+    # crash that ``compare`` would report as its exit 1, "no"
+    counter = "#" + "9" * 5000
+    for args, column in ((["extract", "--mechanistic", "--pga", counter + ";!"], 1),
+                         (["compare", "--pga", counter + ";!", "--pga", "a;!"], 1),
+                         (["compare", "--pga", "a;!", "--pga", f"a;({counter})^w"], 4)):
+        result = run(*args)
+        assert result.exit_code == 2, args
+        assert not isinstance(result.exception, ValueError), args
+        assert result.stdout == ""
+        assert result.stderr == f"error: jump counter too long at line 1, column {column}\n"
+
+
 def test_extract_requires_mode_and_source():
     assert run("extract", "--pga", "a;!").exit_code == 2
     assert run("extract", "--functional").exit_code == 2

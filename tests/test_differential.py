@@ -45,7 +45,7 @@ from pga_mech import (
 )
 from pga_mech.extraction import _extract
 from pga_mech.instructions import JUMP
-from pga_mech.threads import D, DELAY, POST, S, ThreadGraph, _delay_resolution
+from pga_mech.threads import D, DELAY, POST, S, Node, ThreadGraph, _delay_resolution
 
 from helpers import (
     perturb_delays,
@@ -189,19 +189,48 @@ def _chase(g, i):
     return len(passed), len(g) if g.nodes[i].kind == D else i
 
 
+def _back_delay_graphs():
+    """Graphs in which a delay node's successor has a smaller id, so the
+    resolution's reverse pass defers it: a delay loop, loops of a post and
+    delays where the last delay points back to the post, a delay loop
+    entered mid-way and a delay chain into D numbered from its end, since
+    50 posts enter it one node further each.  The three ``a;(#1ⁿ;a)^w``
+    are loops too, but their delays point forward and their post back."""
+    yield extract_mechanistic(parse_pga("(#1;#1;#1)^w"))
+    for n in (1, 2, 5):
+        yield extract_mechanistic(parse_pga("a;(" + "#1;" * n + "a)^w"))
+        yield extract_mechanistic(parse_pga("a;(a" + ";#1" * n + ")^w"))
+    # post 0 enters the loop 1 -> 2 -> 3 -> 4 -> 1 at 3
+    loop = [Node(POST, "a", None, 3, 5), Node(DELAY, next=2), Node(DELAY, next=3),
+            Node(DELAY, next=4), Node(DELAY, next=1), Node(S)]
+    yield ThreadGraph(loop, 0)
+    # posts 0..49 in a line; post i's false edge enters the chain
+    # 50 -> 51 -> ... -> 99 -> D at node 99 - i, and post 49's true edge is S
+    posts = [Node(POST, "a", None, i + 1 if i < 49 else 101, 99 - i) for i in range(50)]
+    chain = [Node(DELAY, next=j + 1) for j in range(50, 100)]
+    yield ThreadGraph(posts + chain + [Node(D), Node(S)], 0)
+
+
 def test_delay_resolution_matches_reference():
     # three random graphs under two posts (the constructors keep each one's
     # D nodes apart) with delay edits, and mechanistic extractions, so that
-    # delay loops, delay chains into D and several D nodes are all common
+    # delay loops, delay chains into D and several D nodes are all common;
+    # then graphs whose delays point back to smaller ids
     rng = random.Random(3004)
     shapes = set()
-    for k in range(1500):
-        if k % 3:
-            parts = [random_graph(rng, max_nodes=8) for _ in range(3)]
-            g = make_post("a", parts[0], make_post("b", parts[1], parts[2]))
+    back = list(_back_delay_graphs())
+    deferring = [any(n.kind == DELAY and n.next < i for i, n in enumerate(g.nodes)) for g in back]
+    assert deferring.count(False) == 3
+    for k in range(1500 + len(back)):
+        if k >= 1500:
+            g = back[k - 1500]
         else:
-            g = extract_mechanistic(random_seq(rng, max_prefix=6, max_cycle=6))
-        g = perturb_delays(rng, g, moves=rng.randint(0, 3))
+            if k % 3:
+                parts = [random_graph(rng, max_nodes=8) for _ in range(3)]
+                g = make_post("a", parts[0], make_post("b", parts[1], parts[2]))
+            else:
+                g = extract_mechanistic(random_seq(rng, max_prefix=6, max_cycle=6))
+            g = perturb_delays(rng, g, moves=rng.randint(0, 3))
         chased = [_chase(g, i) for i in range(len(g))]
         assert _delay_resolution(g)[1] == chased + [(0, len(g))], g.nodes
         assert collapse_divergence(g) == reference_collapse_divergence(g), g.nodes

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -35,7 +37,7 @@ from pga_mech.instructions import (
     TERMINATION,
     _PIECES_KEPT,
     _parse_tokens,
-    _piece_instruction,
+    _pieces,
 )
 
 from helpers import random_seq
@@ -155,7 +157,7 @@ def test_parse_matches_token_walk():
     # build the same sequence, and leave every error to the token walk; the
     # corpus runs twice, once with an empty memo of spellings and once with
     # the memo that the first pass left
-    _piece_instruction.cache_clear()
+    _pieces.clear()
     for _ in range(2):
         rng = random.Random(1303)
         valid = 0
@@ -172,22 +174,70 @@ def test_parse_memo_stays_within_its_bound():
     # the token walk's, and the memo holds no more than its bound
     text = ";".join(f"#{k}" for k in range(_PIECES_KEPT + 905))
     assert parse_pga(text) == _parse_tokens(text)
-    assert _piece_instruction.cache_info().currsize <= _PIECES_KEPT
+    assert len(_pieces) <= _PIECES_KEPT
 
 
 def test_parse_memo_keeps_no_rejected_piece():
-    _piece_instruction.cache_clear()
+    _pieces.clear()
     for text, column in (("a; + b", 4), ("a; + b", 4), ("c;d;(a; + b)^w", 9)):
         with pytest.raises(PgaSyntaxError) as exc:
             parse_pga(text)
         assert str(exc.value) == f"expected action name after '+' at line 1, column {column}"
     # only the valid pieces "a", "c" and "d" were kept
-    assert _piece_instruction.cache_info().currsize == 3
+    assert len(_pieces) == 3
+
+
+def test_parse_memo_keeps_no_long_piece():
+    # a padded piece is kept by its stripped spelling, and a piece longer
+    # than the memo keeps is built without it, so neither text stays alive
+    # in the memo once its sequence is gone
+    gc.collect()
+    tracemalloc.start()
+    try:
+        padded = parse_pga(" " * 10**7 + "a;!")
+        named = parse_pga("b;" + "c" * 10**7 + ";!")
+        # built from the stripped spelling, which is kept and shared
+        assert padded.prefix[0] is parse_pga(" a ;!").prefix[0]
+        assert padded == parse_pga("a;!")
+        assert len(named.prefix[1].action) == 10**7
+        del padded, named
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
 
 
 def test_parse_shares_instructions_across_calls():
     # a spelling's instruction is built once per process, not once per call
     assert parse_pga("a;b").prefix[0] is parse_pga("c;a").prefix[1]
+
+
+def test_overlong_jump_counter_is_a_located_error():
+    # a counter that ``int`` cannot read under the process's digit limit is
+    # a syntax error at its '#', on the memo's path and the token walk's
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no limit on the digits of an int")
+    digits = "9" * (limit + 700)
+    for text, column in ((f"#{digits};!", 1), (f"a;(b; #{digits} )^w", 7)):
+        for parse in (parse_pga, _parse_tokens):
+            with pytest.raises(PgaSyntaxError) as exc:
+                parse(text)
+            assert str(exc.value) == f"jump counter too long at line 1, column {column}"
+    # the longest counter that ``str`` prints parses and prints back
+    longest = parse_pga("#" + "9" * limit)
+    assert print_pga(longest) == "#" + "9" * limit
+
+
+def test_jump_counter_must_print():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no limit on the digits of an int")
+    for make in (jump, lambda counter: Instruction(JUMP, counter=counter)):
+        with pytest.raises(ValueError, match=f"^jump counter has more than {limit} digits$"):
+            make(10**limit)
+        assert str(make(10**limit - 1)) == "#" + "9" * limit
 
 
 def test_parse_memory_is_linear_and_small():
@@ -255,6 +305,7 @@ def test_instruction_field_checks():
             ((POS_TEST, "a", 1), "action instructions carry no counter"),
             ((JUMP, "a", 1), "jumps carry no action"),
             ((JUMP, None, -1), "jump counter must be a natural number"),
+            ((JUMP, None, 1.5), "jump counter must be a natural number"),
             ((TERMINATION, "a"), "termination carries no payload"),
             (("halt",), "unknown instruction kind 'halt'")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -18,7 +18,9 @@ most of them short jumps onto later jumps and some jumps that wrap the
 cycle, where the landings are one pass from the last position to the
 first and only a wrapping jump chases its chain; and for the delay resolution of
 ``#1ⁿ;a;(#1)^w``, a long delay chain in front of a delay loop, where a
-resolution that chases from every node is quadratic.  And for ``bisimilar``
+resolution that chases from every node is quadratic, and of ``#1ⁿ;a;!``
+and the delay loop ``(#1ⁿ)^w`` at n = 10⁴, which resolve in one reverse
+pass and in the trail walk of the nodes it defers.  And for ``bisimilar``
 and ``improves`` on ``#1;(a¹⁰⁰⁰)^w`` against ``(a¹⁰⁰¹)^w``, where the
 delay on the root edge decides "no" but the cores pair up a million
 ways.  And for ``improve_step`` from the 259-instruction member of the
@@ -91,6 +93,23 @@ def test_delay_chain_bisimilar_and_minimize_at_4000():
     assert _timed(bisimilar, slow, slow) is True
     assert len(_timed(minimize, slow)) == n + 2
     assert len(_timed(minimize, fast)) == n + 1
+
+
+def test_delay_resolution_of_chain_and_loop_at_10000():
+    # the chain resolves in its one reverse pass, each delay reading its
+    # successor's entry; the loop's delays are all deferred to the trail
+    # walk, since the last one points back to the first.  Each call takes
+    # 3-8 ms on a 2 vCPU host; a resolution that chases from every node
+    # takes seconds
+    n = 10_000
+    slow = extract_mechanistic(parse_pga(_chain(n)))
+    fast = extract_mechanistic(parse_pga(_chain(n - 1)))
+    assert _timed(bisimilar, slow, fast, budget=0.1) is False
+    assert _timed(compare, slow, fast, budget=0.1) is ComparisonVerdict.STRICTLY_IMPROVED_BY
+    assert _timed(compare, fast, slow, budget=0.1) is ComparisonVerdict.STRICTLY_IMPROVES
+    loop = extract_mechanistic(parse_pga("(" + ";".join(["#1"] * n) + ")^w"))
+    assert len(loop) == n
+    assert print_thread(_timed(minimize, loop, budget=0.1)) == "T0 = sigma(T0)"
 
 
 def test_delayed_loop_improves_and_compare_at_800():
