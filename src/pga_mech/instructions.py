@@ -228,38 +228,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# the checked constructor of each instruction token kind, from its text
 _BUILD = {"!": lambda _: TERMINATE, "jump": lambda digits: jump(int(digits)),
           "pos": pos_test, "neg": neg_test, "ident": basic}
 
 
-def _unchecked(kind: str, action: str | None = None, counter: int | None = None) -> Instruction:
-    """The instruction of fields already known to be valid, built without
-    the checks of the ``Instruction`` constructor."""
-    ins = object.__new__(Instruction)
-    # set one field at a time, as the constructor does: filling ``__dict__``
-    # at once would leave the instance a dict that reads its fields slower
-    object.__setattr__(ins, "kind", kind)
-    object.__setattr__(ins, "action", action)
-    object.__setattr__(ins, "counter", counter)
-    return ins
-
-
-# one ``;``-piece of the text, stripped, that holds exactly one
-# instruction, one group per kind; per group, the piece's instruction from
-# that group's text, built unchecked, since the pattern has checked the
-# action name and the digits; and what may follow the ``)`` that closes
-# the repetition group
-_PIECE_RE = re.compile(rf"(?:(!)|#([0-9]+)|\+({_NAME})|-({_NAME})|({_NAME}))\Z")
-_PIECE_BUILD = (None, lambda _: TERMINATE, lambda digits: _unchecked(JUMP, counter=int(digits)),
-                lambda action: _unchecked(POS_TEST, action),
-                lambda action: _unchecked(NEG_TEST, action),
-                lambda action: _unchecked(BASIC, action))
+# what may follow the ``)`` that closes the repetition group
 _TAIL_RE = re.compile(r"\s*\^\s*(?:w|ω)\s*\Z")
 _PIECES_KEPT = 4096  # the most spellings whose instructions the process keeps
 _PIECE_KEPT_LEN = 64  # the longest spelling kept
 # the instruction of each ``;``-piece spelling kept, as written, whitespace
-# included, and stripped; emptied when it reaches ``_PIECES_KEPT`` entries.
-# Reads take no lock; the lock keeps the bound when threads add at once
+# included, and stripped; a miss is one ``_TOKEN_RE`` token built by
+# ``_BUILD``; emptied when it reaches ``_PIECES_KEPT`` entries.  Reads take
+# no lock; the lock keeps the bound when threads add at once
 _pieces: dict[str, Instruction] = {}
 _pieces_lock = threading.Lock()
 
@@ -287,13 +268,15 @@ def _piece_instructions(pieces: list[str]) -> tuple[Instruction, ...] | None:
             spelling = piece.strip()
             ins = _pieces.get(spelling)
             if ins is None:
-                match = _PIECE_RE.match(spelling)
+                match = _TOKEN_RE.fullmatch(spelling)
                 if match is None:
                     return None
                 group = match.lastindex
+                # a token kind outside ``_BUILD``, or a counter with more
+                # digits than ``int`` reads, is no instruction
                 try:
-                    ins = _PIECE_BUILD[group](match[group])
-                except ValueError:  # a counter with more digits than ``int`` reads
+                    ins = _BUILD[_TOKEN_KINDS[group] or match[group]](match[group])
+                except (KeyError, ValueError):
                     return None
                 _keep(spelling, ins)
             if spelling is not piece:
@@ -313,6 +296,8 @@ def parse_pga(text: str) -> InstrSeq:
     The text is cut at its first ``(``, its last ``)`` and every ``;``, and
     each piece's instruction is taken from a process-wide memo of
     spellings, so a spelling is checked and built once, not once per call.
+    A miss is read by the one token pattern and built by the checked
+    constructors, as the token walk does, with no bypass of their checks.
     The memo is one plain dict, bounded: it keeps pieces of at most 64
     characters, both as written and stripped of whitespace, and it is
     emptied when it reaches ``_PIECES_KEPT`` spellings.  A longer piece is
@@ -353,7 +338,6 @@ def _parse_tokens(text: str) -> InstrSeq:
         raise PgaSyntaxError("empty instruction sequence")
     last = len(tokens) - 1
     tokens.append(("end", "", tokens[-1][2]))  # sentinel, located at the last token
-    built: dict[tuple[str, str], Instruction] = {}  # one instance per spelling
     pos = 0
 
     def error(message: str) -> PgaSyntaxError:
@@ -364,14 +348,12 @@ def _parse_tokens(text: str) -> InstrSeq:
     def instruction() -> Instruction:
         nonlocal pos
         kind, value, _ = tokens[pos]
-        ins = built.get((kind, value))
-        if ins is None:
-            if kind not in _BUILD:
-                raise error("expected instruction")
-            try:
-                ins = built[kind, value] = _BUILD[kind](value)
-            except ValueError:  # only a jump's digits can fail here
-                raise error("jump counter too long") from None
+        if kind not in _BUILD:
+            raise error("expected instruction")
+        try:
+            ins = _BUILD[kind](value)
+        except ValueError:  # only a jump's digits can fail here
+            raise error("jump counter too long") from None
         pos += 1
         return ins
 

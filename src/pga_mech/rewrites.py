@@ -85,6 +85,15 @@ class RewriteStep:
                 f"{self.evidence.value!r}")
 
 
+def _jump(counter: int) -> Instruction:
+    """The jump of a counter that a rewrite computed; a counter that
+    ``jump`` rejects, one too long to print, is a ``RewriteError``."""
+    try:
+        return jump(counter)
+    except ValueError as exc:
+        raise RewriteError(f"cannot write the rewritten jump: {exc}") from None
+
+
 def _edit(seq: InstrSeq, at: int, count: int, new: tuple[Instruction, ...],
           code: tuple[Instruction, ...] | None = None) -> InstrSeq:
     """Replace the ``count`` instructions from canonical position ``at`` of
@@ -129,7 +138,7 @@ def _resolve_chain(seq: InstrSeq, p: int) -> InstrSeq:
         k = seq.cycle_len
     else:
         k = 0
-    return _edit(seq, p, 1, (jump(k),))
+    return _edit(seq, p, 1, (_jump(k),))
 
 
 def _jumps_onto(seq: InstrSeq, kind: str,
@@ -206,7 +215,7 @@ def rewrite_negtest_jump(seq: InstrSeq, p: int) -> InstrSeq:
                           for t in _successors(q, ins)):
             raise RewriteError("a jump targets the rewritten span" if ins.kind == JUMP
                                else "a test skips into the rewritten span")
-    after = _edit(seq, p, 3, (pos_test(i0.action), jump(i2.counter + 1), TERMINATE))
+    after = _edit(seq, p, 3, (pos_test(i0.action), _jump(i2.counter + 1), TERMINATE))
     verdict = compare(extract_mechanistic(after), extract_mechanistic(seq))
     if verdict is not ComparisonVerdict.EQUAL:
         raise RewriteVerificationError(
@@ -257,7 +266,7 @@ def splice(seq: InstrSeq, at: int, remove_count: int,
             raise RewriteError("jump into spliced region")
         # the target keeps its order relative to the jump under map_pos, and
         # a wrapped target gains a whole new cycle length per copy: k >= 1
-        return jump(map_pos(canon_t) + copies * new_m - map_pos(pos))
+        return _jump(map_pos(canon_t) + copies * new_m - map_pos(pos))
 
     code = seq.prefix + (seq.cycle or ())
     return _edit(seq, at, remove_count, replacement,
@@ -297,7 +306,7 @@ def expand_test_chain(seq: InstrSeq, p: int, r: int, new_target: int) -> InstrSe
     elif target_new <= jump_pos_new:
         raise RewriteError("newTarget must lie ahead of the expanded site")
     k_prime = target_new - jump_pos_new
-    replacement = (neg_test(action), TERMINATE) * r + (pos_test(action), jump(k_prime), TERMINATE)
+    replacement = (neg_test(action), TERMINATE) * r + (pos_test(action), _jump(k_prime), TERMINATE)
     return splice(seq, p, 3, replacement)
 
 
@@ -308,10 +317,14 @@ def _candidates(seq: InstrSeq) -> Iterator[tuple[str, int, InstrSeq]]:
     candidate), built one at a time in the order ``improve_step`` tries
     them."""
     # the two jump rules run unverified here: improve_step verifies each
-    # candidate itself, so per-step evidence would be thrown away
+    # candidate itself, so per-step evidence would be thrown away; a run
+    # that computes a counter it cannot write gives no candidate
     for rule, kind, rewrite in (("unchain", JUMP, _resolve_chain),
                                 ("eliminate-jump-to-termination", TERMINATION, _terminate_at)):
-        run = list(_jumps_onto(seq, kind, rewrite))
+        try:
+            run = list(_jumps_onto(seq, kind, rewrite))
+        except RewriteError:
+            continue
         if run:
             yield rule, run[0][0], run[-1][2]
     for base in (seq,) if seq.cycle is None else (seq, unroll(seq)):

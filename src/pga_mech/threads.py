@@ -109,8 +109,6 @@ class Node(namedtuple("Node", "kind action next true false", defaults=(None,) * 
 
 # ``_new(Node, row)`` builds a ``Node`` from a row unchecked
 _new = tuple.__new__
-_S_NODE = Node(S)
-_D_NODE = Node(D)
 # the rows of S and D, shared by every graph
 _S_ROW = (S, None, None, None, None)
 _D_ROW = (D, None, None, None, None)

@@ -41,8 +41,6 @@ from pga_mech.instructions import (
     instruction_at,
 )
 from pga_mech.threads import (
-    _D_NODE,
-    _S_NODE,
     D,
     DELAY,
     POST,
@@ -53,6 +51,9 @@ from pga_mech.threads import (
 )
 
 ACTIONS = ("a", "b", "c")
+# the S and D nodes that ``reference_extract`` shares among its graphs
+_S_NODE = Node(S)
+_D_NODE = Node(D)
 
 # the running example and its improvement chain; the chain members are the
 # outputs of the expansion rewrite, each certified strictly improving

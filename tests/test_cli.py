@@ -2,15 +2,20 @@ import contextlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import pga_mech
 from pga_mech import (
+    PgaSyntaxError,
     SearchBounds,
+    ThreadSyntaxError,
     extract_mechanistic,
     neg_test,
     parse_pga,
@@ -23,6 +28,8 @@ from pga_mech import (
     to_json,
 )
 from pga_mech.cli import _FORMATS, _PIECE_ROWS, _echo_chunks, main
+
+from helpers import random_graph, random_seq
 
 _RENDERERS = {"eqn": print_thread, "dot": to_dot, "json": to_json}
 
@@ -89,6 +96,24 @@ def test_overlong_jump_counter_exit_2():
         assert not isinstance(result.exception, ValueError), args
         assert result.stdout == ""
         assert result.stderr == f"error: jump counter too long at line 1, column {column}\n"
+
+
+def test_rewrite_unwritable_counter():
+    # unchain would compute a counter one digit too long to print: exit 2,
+    # not a traceback with exit 1; improve finds no candidate in it
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no limit on the digits of an int")
+    text = f"#1;#{'9' * limit};!"
+    result = run("rewrite", "unchain", "--pga", text)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: cannot write the rewritten jump: "
+                             f"jump counter has more than {limit} digits\n")
+    result = run("rewrite", "improve", "--pga", text)
+    assert result.exit_code == 0
+    assert result.stdout == f"{text}\nno improvement found\n"
+    assert result.stderr == ""
 
 
 def test_extract_requires_mode_and_source():
@@ -448,3 +473,123 @@ def test_reserved_name_reference_exit_2():
         assert result.stdout == ""
         assert result.stderr == (f"error: {name!r} is reserved and cannot be referred to; "
                                  f"write 'X = {name}' and refer to X at line 1\n")
+
+
+# --- the CLI contract on generated input -------------------------------------
+
+# pieces of sequence and thread text, valid and not, that the contract test
+# joins at random
+_PGA_TOKENS = ("a", "b", "+a", "-b", "#0", "#1", "#3", "!", ";", ";", "(", ")", "^", "w",
+               "ω", " ", "\n", "#", "+", "-", "é")
+_THREAD_TOKENS = ("P", "Q", "=", " = ", "S", "D", "sigma(", "sigma", ")", "a", "b", " ? ",
+                  ":", " . ", ";", "\n", " ", "#", "x1")
+_NINES = "9" * (sys.get_int_max_str_digits() or 4300)  # the longest counter ``str`` prints
+_NINES_PGA = f"#1;#{_NINES};!"
+_NINES_THREAD = f"P = a . N{_NINES}\nN{_NINES} = S"
+_UNLOCATED = ("empty instruction sequence", "no equations")
+
+
+def _soup(tokens, valid):
+    return st.one_of(st.lists(st.sampled_from(tokens), max_size=14).map("".join),
+                     st.text(max_size=20), st.randoms(use_true_random=False).map(valid))
+
+
+_pga = _soup(_PGA_TOKENS, lambda rng: print_pga(random_seq(rng, 4, 3, ("a", "b"))))
+_thread = _soup(_THREAD_TOKENS, lambda rng: print_thread(random_graph(rng, 4)))
+_side = st.one_of(st.tuples(st.just("--pga"), _pga), st.tuples(st.just("--thread"), _thread))
+
+
+@st.composite
+def _invocations(draw):
+    """(arguments, text of the file ``t`` that ``--thread-file`` names, or
+    None) of one command; the search stays small."""
+    command = draw(st.sampled_from(("extract", "compare", "check", "rewrite", "codegen", "search")))
+    thread = None
+    if command == "extract":
+        args = [draw(st.sampled_from(("--functional", "--mechanistic"))), "--pga", draw(_pga),
+                "--format", draw(st.sampled_from(("eqn", "dot", "json")))]
+        flag = "--minimize"
+    elif command == "compare":
+        args, flag = [*draw(_side), *draw(_side)], "--functional"
+    elif command == "check":
+        args = [draw(st.sampled_from(("implements", "pre-extracts"))), "--pga", draw(_pga),
+                "--thread-file", "t"]
+        thread, flag = draw(_thread), None
+    elif command == "rewrite":
+        args = [draw(st.sampled_from(("unchain", "no-jump-to-term", "unroll", "improve"))),
+                "--pga", draw(_pga), "--steps", str(draw(st.integers(1, 2)))]
+        flag = "--trace"
+    elif command == "codegen":
+        args, thread, flag = ["--thread-file", "t"], draw(_thread), "--fa"
+    else:
+        args = ["--thread-file", "t", "--max-prefix", str(draw(st.integers(0, 3))),
+                "--max-cycle", str(draw(st.integers(0, 2))),
+                "--alphabet", draw(st.sampled_from(("a", "a,b", "b", " a , b ", ""))),
+                "--max-candidates", "200"]
+        thread, flag = draw(_thread), "--pareto"
+    if flag is not None and draw(st.booleans()):
+        args.append(flag)
+    return (command, *args), thread
+
+
+def _first_rejection(args, thread):
+    """The message of the first input the command parses that a parser
+    rejects, or None: sequences first, then threads, each in order."""
+    pgas, threads, rest = [], [], iter(args)
+    for key in rest:
+        if key == "--pga":
+            pgas.append(next(rest))
+        elif key == "--thread":
+            threads.append(next(rest))
+    if thread is not None:
+        threads.append(thread)
+    for parse, text in [*((parse_pga, t) for t in pgas), *((parse_thread, t) for t in threads)]:
+        try:
+            parse(text)
+        except (PgaSyntaxError, ThreadSyntaxError) as exc:
+            return str(exc)
+    return None
+
+
+@settings(max_examples=250, deadline=None)
+@given(_invocations())
+@example((("extract", "--mechanistic", "--pga", _NINES_PGA), None))
+@example((("extract", "--functional", "--pga", f"#{_NINES}9;!"), None))
+@example((("compare", "--pga", _NINES_PGA, "--pga", "a;!"), None))
+@example((("check", "implements", "--pga", _NINES_PGA, "--thread-file", "t"), "P = D"))
+@example((("rewrite", "unchain", "--pga", _NINES_PGA), None))
+@example((("rewrite", "improve", "--pga", _NINES_PGA), None))
+@example((("rewrite", "no-jump-to-term", "--pga", f"#{_NINES};!"), None))
+@example((("rewrite", "unroll", "--pga", f"a;(#1;#{_NINES})^w"), None))
+@example((("codegen", "--thread-file", "t"), _NINES_THREAD))
+@example((("search", "--thread-file", "t", "--max-prefix", "3", "--max-cycle", "0",
+            "--alphabet", "a", "--max-candidates", "200"), _NINES_THREAD))
+def test_cli_contract(invocation):
+    # every command answers every input with an exit code of the contract:
+    # no traceback, 1 only as the "no" of a relation, and a rejected text
+    # as exit 2 with one ``error:`` line that names its line
+    args, thread = invocation
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        if thread is not None:
+            with open("t", "w", encoding="utf-8") as handle:
+                handle.write(thread)
+            with open("t", encoding="utf-8") as handle:
+                thread = handle.read()  # as the CLI reads it: "\r" ends a line
+        result = runner.invoke(main, list(args))
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code in (0, 1, 2, 3)
+    if result.exit_code in (0, 1):
+        assert result.exit_code == 0 or args[0] in ("compare", "check")
+        assert result.stderr == ""
+    else:
+        assert result.stdout == ""
+        if result.stderr.startswith("Usage: "):  # click's own usage error
+            assert result.exit_code == 2 and "\nError: " in result.stderr
+        else:
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    rejection = _first_rejection(args, thread)
+    if rejection is not None:
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {rejection}\n"
+        assert rejection in _UNLOCATED or re.search(r" at line \d+(, column \d+)?$", rejection)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -242,6 +243,24 @@ def test_rewrite_input_checks():
         with pytest.raises(RewriteError,
                            match="^span starts past the end of a finite sequence$"):
             rewrite(parse_pga("a;!"))
+
+
+def test_rewrites_reject_a_counter_they_cannot_write():
+    # each rewrite computes a counter one past the largest that ``str``
+    # prints; that is a rejected rewrite, not a plain ``ValueError``
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no limit on the digits of an int")
+    nines = "#" + "9" * limit
+    message = f"^cannot write the rewritten jump: jump counter has more than {limit} digits$"
+    for rewrite in (lambda: unchain(parse_pga(f"#1;{nines};!")),
+                    lambda: rewrite_negtest_jump(parse_pga(f"-b;!;{nines}"), 0),
+                    lambda: splice(parse_pga(f"{nines};a;!"), 1, 1, (basic("b"), basic("b"))),
+                    lambda: expand_test_chain(parse_pga(f"{nines};+a;#1;!;+a;!"), 1, 1, 4)):
+        with pytest.raises(RewriteError, match=message):
+            rewrite()
+    # a jump rule that cannot write its result is no candidate
+    assert improve_step(parse_pga(f"#1;{nines};!")) is None
 
 
 def test_splice_keeps_jumps_forward():
