@@ -55,9 +55,10 @@ def _fail(code: int, message: str) -> NoReturn:
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of the file at ``path``; an unreadable file exits 2."""
+    """The UTF-8 text of the file at ``path`` as written, line ends
+    untranslated; an unreadable file exits 2."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             return handle.read()
     except OSError as exc:
         _fail(2, str(exc))

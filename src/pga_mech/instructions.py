@@ -237,50 +237,39 @@ _BUILD = {"!": lambda _: TERMINATE, "jump": lambda digits: jump(int(digits)),
 _TAIL_RE = re.compile(r"\s*\^\s*(?:w|ω)\s*\Z")
 _PIECES_KEPT = 4096  # the most spellings whose instructions the process keeps
 _PIECE_KEPT_LEN = 64  # the longest spelling kept
-# the instruction of each ``;``-piece spelling kept, as written, whitespace
-# included, and stripped; a miss is one ``_TOKEN_RE`` token built by
-# ``_BUILD``; emptied when it reaches ``_PIECES_KEPT`` entries.  Reads take
-# no lock; the lock keeps the bound when threads add at once
+# the instruction of each ``;``-piece spelling kept, stripped of whitespace;
+# a miss is one ``_TOKEN_RE`` token built by ``_BUILD``; emptied when it
+# reaches ``_PIECES_KEPT`` entries.  Reads take no lock; the lock keeps the
+# bound when threads add at once
 _pieces: dict[str, Instruction] = {}
 _pieces_lock = threading.Lock()
 
 
-def _keep(piece: str, ins: Instruction) -> None:
-    """Keep ``ins`` as the instruction of ``piece`` unless ``piece`` is too
-    long to keep; a full memo is emptied first."""
-    if len(piece) <= _PIECE_KEPT_LEN:
-        with _pieces_lock:
-            if len(_pieces) >= _PIECES_KEPT:
-                _pieces.clear()
-            _pieces[piece] = ins
-
-
 def _piece_instructions(pieces: list[str]) -> tuple[Instruction, ...] | None:
     """The instruction of each of ``pieces``, or None if one of them holds
-    no single instruction.  A piece missing from the memo is built from
-    its stripped spelling, taken from the memo when that is kept, and both
-    spellings are kept, each if it is short enough; a rejected piece is
-    never kept."""
+    no single instruction.  Each piece is looked up once, by its stripped
+    spelling; a miss is built from that spelling and kept if it is short
+    enough, and a rejected piece is never kept."""
     code = []
     for piece in pieces:
-        ins = _pieces.get(piece)
+        spelling = piece.strip()
+        ins = _pieces.get(spelling)
         if ins is None:
-            spelling = piece.strip()
-            ins = _pieces.get(spelling)
-            if ins is None:
-                match = _TOKEN_RE.fullmatch(spelling)
-                if match is None:
-                    return None
-                group = match.lastindex
-                # a token kind outside ``_BUILD``, or a counter with more
-                # digits than ``int`` reads, is no instruction
-                try:
-                    ins = _BUILD[_TOKEN_KINDS[group] or match[group]](match[group])
-                except (KeyError, ValueError):
-                    return None
-                _keep(spelling, ins)
-            if spelling is not piece:
-                _keep(piece, ins)
+            match = _TOKEN_RE.fullmatch(spelling)
+            if match is None:
+                return None
+            group = match.lastindex
+            # a token kind outside ``_BUILD``, or a counter with more
+            # digits than ``int`` reads, is no instruction
+            try:
+                ins = _BUILD[_TOKEN_KINDS[group] or match[group]](match[group])
+            except (KeyError, ValueError):
+                return None
+            if len(spelling) <= _PIECE_KEPT_LEN:
+                with _pieces_lock:
+                    if len(_pieces) >= _PIECES_KEPT:
+                        _pieces.clear()
+                    _pieces[spelling] = ins
         code.append(ins)
     return tuple(code)
 
@@ -298,17 +287,18 @@ def parse_pga(text: str) -> InstrSeq:
     spellings, so a spelling is checked and built once, not once per call.
     A miss is read by the one token pattern and built by the checked
     constructors, as the token walk does, with no bypass of their checks.
-    The memo is one plain dict, bounded: it keeps pieces of at most 64
-    characters, both as written and stripped of whitespace, and it is
-    emptied when it reaches ``_PIECES_KEPT`` spellings.  A longer piece is
-    built on each call from its stripped spelling, so padding or a long
-    action name does not outlive the sequence.  Instructions are therefore
-    shared: equal kept spellings give the same object, within one sequence
-    and across calls until the memo is emptied, so ``is`` may hold between
-    instructions of different sequences; equality is unchanged.  Only when
-    a piece holds no instruction, a jump counter too long for ``int``
-    included, does the token walk read the text, to raise the error with
-    its line and column.
+    The memo is one plain dict, bounded: it keeps each piece by its
+    spelling stripped of whitespace, only if that is at most 64
+    characters, and it is emptied when it reaches ``_PIECES_KEPT``
+    spellings.  A piece written with surrounding whitespace is looked up
+    by its stripped spelling on each call; a longer piece is built on each
+    call, so padding or a long action name does not outlive the sequence.
+    Instructions are therefore shared: equal stripped spellings give the
+    same object, within one sequence and across calls until the memo is
+    emptied, so ``is`` may hold between instructions of different
+    sequences; equality is unchanged.  Only when a piece holds no
+    instruction, a jump counter too long for ``int`` included, does the
+    token walk read the text, to raise the error with its line and column.
     """
     head, paren, rest = text.partition("(")
     pieces = head.split(";")

@@ -275,8 +275,8 @@ def _core_blocks(rows: tuple[tuple, ...], resolution: list[tuple[int, int]]) -> 
     block that the splitter's predecessors over one letter hit only partly
     keeps its id for the larger part, and the smaller part takes a new id
     and is queued: Hopcroft's rule, whether or not the old block is queued.
-    A letter with one predecessor, or two in one block, splits without
-    grouping its predecessors by block; a two-node block hit whole stays.
+    Only a letter with one predecessor splits without grouping its
+    predecessors by block.
     """
     true_inverse, false_inverse = [[] for _ in rows], [[] for _ in rows]
     labels: dict = {}
@@ -316,23 +316,6 @@ def _core_blocks(rows: tuple[tuple, ...], resolution: list[tuple[int, int]]) -> 
                     members.append({j})
             if len(hit_nodes) < 2:
                 continue
-            if len(hit_nodes) == 2:  # most of the rest: no grouping either
-                j, k = hit_nodes
-                c = block[j]
-                if block[k] == c:
-                    rest = members[c]
-                    if len(rest) == 2:  # hit whole
-                        continue
-                    part = {j, k}
-                    rest -= part
-                    if len(rest) == 1:  # the smaller part moves
-                        members[c], part = part, rest
-                    new = len(members)
-                    members.append(part)
-                    for j in part:
-                        block[j] = new
-                    work.append(new)
-                    continue
             # each node has at most one successor per letter, so no
             # predecessor is hit twice
             hit: dict[int, list[int]] = {}

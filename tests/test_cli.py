@@ -212,6 +212,21 @@ def test_extract_from_file(tmp_path):
     assert result.stdout == "T0 = a ? T1 : T1\nT1 = S\n"
 
 
+def test_extract_reads_the_file_as_written(tmp_path):
+    # a "\r" before "\n" is whitespace; a lone "\r" ends no line, as inline
+    path = tmp_path / "prog.pga"
+    path.write_bytes(b"+a;#3;\r\nc;!;\r\nb;!\r\n")
+    result = run("extract", "--mechanistic", "--file", str(path))
+    assert result.exit_code == 0
+    assert result.stdout == run("extract", "--mechanistic", "--pga", "+a;#3;\nc;!;\nb;!\n").stdout
+    path.write_bytes(b"a;\r#;!")
+    result = run("extract", "--mechanistic", "--file", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: expected digits after '#' at line 1, column 4\n"
+    assert result.stderr == run("extract", "--mechanistic", "--pga", "a;\r#;!").stderr
+
+
 def test_compare_improves():
     result = run("compare", "--pga", "#1;a;!", "--pga", "#1;#1;a;!")
     assert result.stdout == "improves\n"
@@ -264,6 +279,19 @@ def test_check_wrong_action(tmp_path):
     path.write_text("P = a . Q\nQ = S\n")
     result = run("check", "implements", "--pga", "b;!", "--thread-file", str(path))
     assert result.stdout == "no\n" and result.exit_code == 1
+
+
+def test_check_reads_the_thread_file_as_written(tmp_path):
+    path = tmp_path / "p.thread"
+    path.write_bytes(b"P = a . Q\r\nQ = S\r\n")
+    result = run("check", "implements", "--pga", "a;!", "--thread-file", str(path))
+    assert result.stdout == "yes\n" and result.exit_code == 0
+    path.write_bytes(b"P = a . Q\rQ = S")
+    result = run("check", "implements", "--pga", "a;!", "--thread-file", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: cannot parse right-hand side 'a . Q\\rQ = S' at line 1\n"
+    assert result.stderr == run("compare", "--pga", "a;!", "--thread", "P = a . Q\rQ = S").stderr
 
 
 def test_rewrite_unchain_golden():
@@ -574,8 +602,8 @@ def test_cli_contract(invocation):
         if thread is not None:
             with open("t", "w", encoding="utf-8") as handle:
                 handle.write(thread)
-            with open("t", encoding="utf-8") as handle:
-                thread = handle.read()  # as the CLI reads it: "\r" ends a line
+            with open("t", encoding="utf-8", newline="") as handle:
+                thread = handle.read()  # as the CLI reads it: as written
         result = runner.invoke(main, list(args))
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
     assert result.exit_code in (0, 1, 2, 3)

@@ -42,6 +42,7 @@ from pga_mech import (
     search_implementations,
     to_dot,
     to_json,
+    unroll,
 )
 from pga_mech.extraction import _extract
 from pga_mech.instructions import JUMP
@@ -167,6 +168,9 @@ def test_minimize_matches_reference():
         g = extract_mechanistic(seq)
         for h in (g, collapse_divergence(g), functional_abstraction(g)):
             _check_minimize(h)
+        # a doubled cycle pairs bisimilar nodes, so a letter often has two
+        # predecessors in one block
+        _check_minimize(extract_mechanistic(unroll(seq)))
     # delay nodes whose chains share a core, and divergent chains, where a
     # delay node's class is its delay count and its core's class
     for _ in range(600):
